@@ -9,7 +9,7 @@ from .graph import (DuplicateEdge, DynGraph, GraphError, InactiveVertex,
                     InvalidWeight, MissingEdge, SelfLoop, new_graph)
 from .translog import (CorruptLog, LiftError, NotIndependent, TransformLog,
                        lift, verify_lift)
-from .struction import (Aborted, NotMinimal, StructionOutcome, VARIANT_OPS,
+from .struction import (Aborted, NotMinimal, VARIANT_OPS,
                         enumerate_exceeding_sets, extended_reduced_struction,
                         extended_struction, modified_struction,
                         original_struction)
@@ -22,7 +22,7 @@ from .blowup import (BlowupConfig, BlowupState, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
                      cyclic_blow_up, make_blowup_config, preprocess)
 from .solver import (OPTIMAL, SizeLimit, SolveResult, SolverConfig,
-                     TIME_LIMIT, branch, brute_force_mwis, components,
+                     TIME_LIMIT, brute_force_mwis, components,
                      local_search, solve, upper_bound)
 from .metisio import (ParseError, parse_graph, read_solution, write_graph,
                       write_kernel, write_solution, write_stats)
@@ -38,7 +38,7 @@ __all__ = [
     "CorruptLog",
     "original_struction", "modified_struction", "extended_struction",
     "extended_reduced_struction", "enumerate_exceeding_sets", "VARIANT_OPS",
-    "StructionOutcome", "Aborted", "NotMinimal",
+    "Aborted", "NotMinimal",
     "reduce", "ReduceConfig", "KernelResult", "RULE_ORDER",
     "neighborhood_removal", "degree_two_fold", "clique_reduction",
     "domination", "twin_merge", "clique_neighborhood_removal",
@@ -46,7 +46,7 @@ __all__ = [
     "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig", "BlowupState",
     "make_blowup_config", "PRESETS", "PRESET_NONINCREASING",
     "PRESET_CYCLIC_FAST", "PRESET_CYCLIC_STRONG",
-    "solve", "SolverConfig", "SolveResult", "branch", "components",
+    "solve", "SolverConfig", "SolveResult", "components",
     "upper_bound", "local_search", "brute_force_mwis", "SizeLimit",
     "OPTIMAL", "TIME_LIMIT",
     "parse_graph", "write_graph", "write_kernel", "write_solution",

@@ -1,16 +1,19 @@
 """Cyclic blow-up preprocessing.
 
 Alternates blow-up phases (one increasing struction that temporarily grows
-the graph) with full reduction phases, keeping whichever kernel is smallest:
+the graph) with full reduction phases:
 
-    K <- reduce(G); K* <- K
-    while |V(K)| < alpha * |V(K*)| and unsuccessful < X:
-        K'  <- blow_up(K)           (NoCandidate: return K*)
+    K <- reduce(G)
+    while K is not empty and unsuccessful < X:
+        K'  <- blow_up(K)           (NoCandidate: return K)
         K'' <- reduce(K')
-        accept K'' only if it has strictly fewer vertices than K,
-        otherwise roll K, the log and the candidate bounds back and
-        count the phase as unsuccessful
-        K* <- K whenever K got smaller
+        if |V(K'')| < |V(K)|: K <- K''
+        else: roll K, the log and the candidate bounds back and count the
+              phase as unsuccessful
+
+Every accepted phase shrinks K, so K is always the smallest kernel seen.
+The presets differ only in their BlowupConfig; nonincreasing is X = 0,
+plain reduction.
 
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
@@ -35,7 +38,6 @@ NO_CANDIDATE = "nocandidate"
 PRESET_NONINCREASING = "nonincreasing"
 PRESET_CYCLIC_FAST = "cyclic-fast"
 PRESET_CYCLIC_STRONG = "cyclic-strong"
-PRESETS = (PRESET_NONINCREASING, PRESET_CYCLIC_FAST, PRESET_CYCLIC_STRONG)
 
 
 @dataclass
@@ -43,26 +45,31 @@ class BlowupConfig:
     X: int = 25                  # max unsuccessful blow-up phases
     n_max: int = 512             # hard cap on vertices created by one struction
     d_max: int = 64              # max center degree
-    alpha: float = 1.25          # size-explosion guard factor
     beta: float = 2.0            # tightness-check factor
     variant: str = "extended"
-    reduce_cfg: ReduceConfig = field(default_factory=ReduceConfig)
-    structions_per_phase: int = 1
+
+    @property
+    def reduce_cfg(self):
+        """The reduction every phase runs: same variant and degree cap."""
+        return ReduceConfig(variant=self.variant, d_max=self.d_max)
+
+
+# preset name -> BlowupConfig fields
+PRESETS = {
+    PRESET_NONINCREASING: {"X": 0, "n_max": 512, "d_max": 64},
+    PRESET_CYCLIC_FAST: {"X": 25, "n_max": 512, "d_max": 64},
+    PRESET_CYCLIC_STRONG: {"X": 64, "n_max": 2048, "d_max": 512},
+}
 
 
 def make_blowup_config(mode, **overrides):
-    """Named presets; keyword overrides replace individual fields."""
-    if mode == PRESET_CYCLIC_FAST:
-        cfg = BlowupConfig(X=25, n_max=512, d_max=64)
-    elif mode == PRESET_CYCLIC_STRONG:
-        cfg = BlowupConfig(X=64, n_max=2048, d_max=512)
-    else:
-        raise ValueError(f"unknown cyclic preset {mode!r}")
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.reduce_cfg = ReduceConfig(variant=cfg.variant, d_max=cfg.d_max)
-    return cfg
+    """The named preset's config; overrides that are not None replace
+    individual fields."""
+    if mode not in PRESETS:
+        raise ValueError(f"unknown preset {mode!r}")
+    fields = dict(PRESETS[mode])
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
+    return BlowupConfig(**fields)
 
 
 def estimate_L(g, v):
@@ -88,12 +95,10 @@ class BlowupState:
 
 
 def blow_up(K, state, cfg, log):
-    """Apply one (configurable: up to structions_per_phase) increasing
-    struction to the irreducible graph K.  Returns (status, centers, seeds)
-    where seeds is the dirty region the follow-up reduction must revisit."""
-    centers = []
-    seeds = set()
-    while len(centers) < cfg.structions_per_phase:
+    """Apply one increasing struction to the irreducible graph K.  Returns
+    (CHANGED, center, seeds), where seeds is the dirty region the follow-up
+    reduction must revisit, or (NO_CANDIDATE, None, None)."""
+    while True:
         best = None
         for v in K.active_vertices():
             d = K.degree(v)
@@ -109,7 +114,7 @@ def blow_up(K, state, cfg, log):
             if best is None or key < best[0]:
                 best = (key, v, b)
         if best is None:
-            break
+            return NO_CANDIDATE, None, None
         _key, v, b = best
         tight_cap = math.ceil(cfg.beta * b) - 1
         cap = min(tight_cap, cfg.n_max)
@@ -131,27 +136,23 @@ def blow_up(K, state, cfg, log):
                 state.bounds[v] = max(math.ceil(cfg.beta * b), b + 1)
             continue
         state.bounds.pop(v, None)
-        centers.append(v)
         live = [x for x in changed if K.is_active(x)]
-        seeds |= _with_neighbors(K, live)
-    return (CHANGED, centers, seeds) if centers else (NO_CANDIDATE, centers,
-                                                      seeds)
+        return CHANGED, v, _with_neighbors(K, live)
 
 
 def cyclic_blow_up(g, cfg=None, deadline=None):
-    """Run the full blow-up/reduce cycle on g (consumed); returns the best
-    kernel found, with a log describing exactly that kernel.
+    """Run the full blow-up/reduce cycle on g (consumed); returns the
+    smallest kernel found, with a log describing exactly that kernel.
 
     deadline is an optional time.monotonic() timestamp; once it passes, no
-    further phases start and the best kernel so far is returned (which is
-    always a valid kernel, so callers can keep going with it)."""
+    further phases start and the kernel so far is returned (which is always
+    a valid kernel, so callers can keep going with it)."""
     cfg = cfg or BlowupConfig()
+    reduce_cfg = cfg.reduce_cfg
     log = TransformLog()
     stats = {}
-    _reduce_into(g, cfg.reduce_cfg, log, stats)
+    _reduce_into(g, reduce_cfg, log, stats)
     K = g
-    best = K.copy()
-    best_len = len(log)
     stats["initial_kernel_n"] = K.counts()[0]
     stats["blowup_phases"] = 0
     stats["blowup_accepts"] = 0
@@ -159,8 +160,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
 
     state = BlowupState()
     unsuccessful = 0
-    while (K.counts()[0] < cfg.alpha * best.counts()[0]
-           and unsuccessful < cfg.X):
+    while K.counts()[0] and unsuccessful < cfg.X:
         if deadline is not None and time.monotonic() >= deadline:
             break
         snap_graph = K.copy()
@@ -168,39 +168,28 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
         snap_bounds = dict(state.bounds)
         pre_n = K.counts()[0]
 
-        status, centers, seeds = blow_up(K, state, cfg, log)
+        status, center, seeds = blow_up(K, state, cfg, log)
         if status == NO_CANDIDATE:
             break
-        stats["blowup_phases"] = stats.get("blowup_phases", 0) + 1
-        _reduce_into(K, cfg.reduce_cfg, log, stats, seeds=seeds)
+        stats["blowup_phases"] += 1
+        _reduce_into(K, reduce_cfg, log, stats, seeds=seeds)
 
         if K.counts()[0] < pre_n:
-            stats["blowup_accepts"] = stats.get("blowup_accepts", 0) + 1
+            stats["blowup_accepts"] += 1
             state.bounds.clear()
-            if K.counts()[0] < best.counts()[0]:
-                best = K.copy()
-                best_len = len(log)
         else:
-            stats["blowup_rejects"] = stats.get("blowup_rejects", 0) + 1
+            stats["blowup_rejects"] += 1
             K = snap_graph
             log.truncate(snap_len)
             state.bounds = snap_bounds
-            for v in centers:
-                state.excluded[v] = neighborhood_fingerprint(K, v)
+            state.excluded[center] = neighborhood_fingerprint(K, center)
             unsuccessful += 1
 
-    log.truncate(best_len)
-    stats["kernel_n"], stats["kernel_m"] = best.counts()
-    return KernelResult(best, log.offset, log, stats)
+    stats["kernel_n"], stats["kernel_m"] = K.counts()
+    return KernelResult(K, log.offset, log, stats)
 
 
-def preprocess(g, mode=PRESET_NONINCREASING, reduce_cfg=None, blowup_cfg=None,
-               deadline=None):
-    """Dispatch to plain reduction or the cyclic cycle by preset name."""
-    from . import reductions
-
-    if mode == PRESET_NONINCREASING:
-        return reductions.reduce(g, reduce_cfg or ReduceConfig())
-    if blowup_cfg is None:
-        blowup_cfg = make_blowup_config(mode)
-    return cyclic_blow_up(g, blowup_cfg, deadline=deadline)
+def preprocess(g, mode=PRESET_NONINCREASING, deadline=None, **overrides):
+    """Reduce g (consumed) under the named preset; overrides that are not
+    None replace individual BlowupConfig fields."""
+    return cyclic_blow_up(g, make_blowup_config(mode, **overrides), deadline)

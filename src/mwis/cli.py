@@ -13,16 +13,14 @@ import os
 import sys
 import time
 
-from .blowup import PRESETS, PRESET_NONINCREASING, make_blowup_config
-from .blowup import preprocess
+from .blowup import PRESETS, PRESET_NONINCREASING, preprocess
 from .metisio import (ParseError, parse_graph, read_solution, write_graph,
                       write_kernel, write_solution, write_stats)
-from .reductions import ReduceConfig
 from .rng import random_gnp_graph, random_path_graph
 from .solver import (OPTIMAL, SizeLimit, SolverConfig, brute_force_mwis,
                      solve)
 from .struction import VARIANT_OPS
-from .translog import verify_lift
+from .translog import first_violation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +52,6 @@ def build_parser():
     red.add_argument("--unsucc", type=int, default=None,
                      help="max unsuccessful blow-up phases (X)")
     red.add_argument("--beta", type=float, default=None)
-    red.add_argument("--alpha", type=float, default=None)
     red.add_argument("--variant", choices=sorted(VARIANT_OPS), default=None)
     red.add_argument("--stats", dest="stats", default=None)
 
@@ -89,18 +86,8 @@ def build_parser():
 def _reduce_cmd(args):
     g = parse_graph(args.infile)
     t0 = time.monotonic()
-    if args.mode == PRESET_NONINCREASING:
-        cfg = ReduceConfig()
-        if args.dmax is not None:
-            cfg.d_max = args.dmax
-        if args.variant is not None:
-            cfg.variant = args.variant
-        kres = preprocess(g, args.mode, reduce_cfg=cfg)
-    else:
-        bc = make_blowup_config(args.mode, X=args.unsucc, n_max=args.nmax,
-                                d_max=args.dmax, beta=args.beta,
-                                alpha=args.alpha, variant=args.variant)
-        kres = preprocess(g, args.mode, blowup_cfg=bc)
+    kres = preprocess(g, args.mode, X=args.unsucc, n_max=args.nmax,
+                      d_max=args.dmax, beta=args.beta, variant=args.variant)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     write_kernel(kres, args.outfile)
     n, m = kres.kernel.counts()
@@ -164,23 +151,9 @@ def _oracle_cmd(args):
 def _verify_cmd(args):
     g = parse_graph(args.infile)
     weight, ids = read_solution(args.solfile)
-    for v in ids:
-        if not g.is_active(v):
-            print(f"verify failed: vertex {v + 1} does not exist", file=sys.stderr)
-            return EXIT_USAGE
-    for v in ids:
-        for u in g.neighbors(v):
-            if u in ids:
-                print(f"verify failed: NotIndependent, edge {v + 1}-{u + 1} "
-                      "inside the solution", file=sys.stderr)
-                return EXIT_USAGE
-    actual = sum(g.weight(v) for v in ids)
-    if actual != weight:
-        print(f"verify failed: declared weight {weight}, actual {actual}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not verify_lift(g, ids, weight):
-        print("verify failed", file=sys.stderr)
+    why = first_violation(g, ids, weight)
+    if why is not None:
+        print(f"verify failed: {why}", file=sys.stderr)
         return EXIT_USAGE
     print(f"ok weight={weight} size={len(ids)}")
     return EXIT_OK

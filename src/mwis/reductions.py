@@ -12,8 +12,9 @@ are re-enqueued.  Vertices whose weight reaches zero are swept out first,
 recorded as ExcludedVertex.
 
 Plateau structions (which keep the vertex count unchanged) are bounded by a
-budget and an exclusion set so they cannot spin: a failed attempt excludes
-the center until its weight or neighborhood changes.
+budget of 4|V| applications per call and an exclusion set so they cannot
+spin: a failed attempt excludes the center until its weight or neighborhood
+changes.
 """
 
 import heapq
@@ -38,10 +39,8 @@ RULE_ORDER = (
 @dataclass
 class ReduceConfig:
     rules: tuple = RULE_ORDER
-    plateau_enabled: bool = True
     variant: str = "extended"
     d_max: int = 64
-    plateau_budget: int | None = None  # None: 4 * |V| at reduce() entry
 
 
 @dataclass
@@ -295,13 +294,9 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     did not fire.
     """
     rules = [r for r in RULE_ORDER if r in cfg.rules]
-    if not cfg.plateau_enabled and "plateau_struction" in rules:
-        rules.remove("plateau_struction")
     cheap = [r for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
-    budget = cfg.plateau_budget
-    if budget is None:
-        budget = 4 * g.counts()[0]
+    budget = 4 * g.counts()[0]
     exclusion = {}
 
     if seeds is None:

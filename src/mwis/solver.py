@@ -23,8 +23,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .blowup import PRESET_NONINCREASING, make_blowup_config, preprocess
-from .reductions import ReduceConfig, _reduce_into
+from . import blowup
+from .blowup import PRESET_NONINCREASING
+from .reductions import RULE_ORDER, ReduceConfig, _reduce_into
 from .rng import SplitMix64
 from .translog import (ExcludedVertex, IncludedVertex, TransformLog, lift,
                        verify_lift)
@@ -46,9 +47,6 @@ class SolverConfig:
     mode: str = PRESET_NONINCREASING   # preprocessing preset
     time_limit: float | None = None    # seconds; None means unlimited
     ls_budget: int = 64                # local-search perturbation rounds
-    branch_rule: str = "max_degree"
-    oracle_size_limit: int = 30
-    blowup_cfg: object = None          # optional BlowupConfig for cyclic modes
 
 
 @dataclass
@@ -222,7 +220,7 @@ def _bits(mask):
 
 def components(g):
     """Connected components as induced subgraphs with preserved ids, ordered
-    by smallest contained id; each comes with its (identity) id map."""
+    by smallest contained id."""
     out = []
     seen = set()
     for v in g.active_vertices():
@@ -238,25 +236,13 @@ def components(g):
                     seen.add(u)
                     comp.append(u)
                     stack.append(u)
-        out.append((g.subgraph(comp), {u: u for u in comp}))
+        out.append(g.subgraph(comp))
     return out
 
 
 def _branch_vertex(g):
     return max(g.active_vertices(),
                key=lambda u: (g.degree(u), g.weight(u), -u))
-
-
-def branch(g, c):
-    """The two child subproblems: include the branch vertex (removing its
-    closed neighborhood), or exclude it."""
-    v = _branch_vertex(g)
-    g1 = g.copy()
-    for u in [v] + g1.neighbors(v):
-        g1.remove_vertex(u)
-    g2 = g.copy()
-    g2.remove_vertex(v)
-    return ((g1, c + g.weight(v)), (g2, c))
 
 
 # -- the search -------------------------------------------------------------------
@@ -305,7 +291,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     if len(comps) > 1:
         total = c
         members = set()
-        for comp, _idmap in comps:
+        for comp in comps:
             w_i, sol_i = _solve_subgraph(comp, sh)
             total += w_i
             members |= sol_i
@@ -342,15 +328,8 @@ def solve(g, cfg=None):
     cfg = cfg or SolverConfig()
     deadline = (time.monotonic() + cfg.time_limit
                 if cfg.time_limit is not None else None)
-    original = g.copy()
-    work = g.copy()
-    if cfg.mode == PRESET_NONINCREASING:
-        kres = preprocess(work, cfg.mode)
-        root_reduce_cfg = ReduceConfig()
-    else:
-        bc = cfg.blowup_cfg or make_blowup_config(cfg.mode)
-        kres = preprocess(work, cfg.mode, blowup_cfg=bc, deadline=deadline)
-        root_reduce_cfg = bc.reduce_cfg
+    bc = blowup.make_blowup_config(cfg.mode)
+    kres = blowup.cyclic_blow_up(g.copy(), bc, deadline)
     K = kres.kernel
     log = kres.log
 
@@ -358,9 +337,9 @@ def solve(g, cfg=None):
     stats.update(kres.stats)
     stats["kernel_n"], stats["kernel_m"] = K.counts()
     stats["offset"] = kres.offset
-    in_recursion_cfg = ReduceConfig(plateau_enabled=False,
-                                    variant=root_reduce_cfg.variant,
-                                    d_max=root_reduce_cfg.d_max)
+    in_recursion_cfg = ReduceConfig(
+        rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"),
+        variant=bc.variant, d_max=bc.d_max)
     sh = _Shared(deadline, in_recursion_cfg, cfg.ls_budget, stats)
     inc = _Incumbent()
     status = OPTIMAL
@@ -372,9 +351,9 @@ def solve(g, cfg=None):
             # never got past the first deadline check: fall back to the
             # solution implied by preprocessing alone (empty kernel choice)
             sol = lift(log, set())
-            inc.W = sum(original.weight(v) for v in sol)
+            inc.W = sum(g.weight(v) for v in sol)
             inc.solution = sol
     solution = inc.solution if inc.solution is not None else set()
-    if status == OPTIMAL and not verify_lift(original, solution, inc.W):
-        raise AssertionError("optimal solution failed lift verification")
+    if not verify_lift(g, solution, inc.W):
+        raise AssertionError(f"{status} solution failed lift verification")
     return SolveResult(inc.W, solution, status, stats)

@@ -12,8 +12,9 @@ The extended forms accept any center, remove all of N[v], and encode
 independent neighbor sets that outweigh v (extended: all of them;
 extended-reduced: only the minimal ones plus single-vertex extensions).
 
-All operations are transactional: they either complete and append one
-Struction event to the log, or return Aborted leaving the graph untouched.
+All operations are transactional: they either complete, append one
+Struction event to the log and return it, or return Aborted leaving the
+graph untouched.
 Aborts happen when the construction would create more than `cap` vertices,
 or when the set enumeration exceeds its internal node budget.
 """
@@ -38,14 +39,6 @@ class NeighborhoodSet:
     """An independent subset of a neighborhood, members sorted ascending."""
     members: tuple
     weight: int
-
-
-@dataclass(frozen=True)
-class StructionOutcome:
-    center: int
-    offset_delta: int
-    removed: tuple   # ((id, weight at removal), ...)
-    created: tuple   # ((id, weight, provenance), ...)
 
 
 class _OverBudget(Exception):
@@ -180,16 +173,16 @@ def _pair_struction(g, v, cap, log, modified, changed=None):
             if pairs[i][0] != pairs[j][0] or pairs[j][1] in pre_adj[pairs[i][1]]:
                 g.add_edge(ids[i], ids[j])
 
-    variant = "modified" if modified else "original"
-    log.record(Struction(variant, v, wv, tuple(nbrs), ((v, wv),),
-                         tuple(created)))
+    event = Struction("modified" if modified else "original", v, wv,
+                      tuple(nbrs), ((v, wv),), tuple(created))
+    log.record(event)
     if changed is not None:
         changed.update(nbrs)
         changed.update(ids)
         for targets in plans:
             changed.update(targets)
     _cleanup_zero_neighbors(g, nbrs, log, changed)
-    return StructionOutcome(v, wv, ((v, wv),), tuple(created))
+    return event
 
 
 def original_struction(g, v, cap, log, changed=None):
@@ -294,13 +287,14 @@ def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
             if ci != cj or y2 in adj[y]:
                 g.add_edge(ext_ids[i], ext_ids[k])
 
-    log.record(Struction(variant, v, wv, tuple(nbrs), removed, tuple(created)))
+    event = Struction(variant, v, wv, tuple(nbrs), removed, tuple(created))
+    log.record(event)
     if changed is not None:
         for u in nbrs:
             changed.update(adj[u] - closed)
         changed.update(core_ids)
         changed.update(ext_ids)
-    return StructionOutcome(v, wv, removed, tuple(created))
+    return event
 
 
 VARIANT_OPS = {

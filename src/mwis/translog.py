@@ -225,19 +225,29 @@ def _undo_extended_reduced(e, cur, created, chosen):
     return cur
 
 
-def verify_lift(original, lifted, expected_weight):
-    """True iff lifted is an independent set of original with the given weight."""
-    members = set(lifted)
-    total = 0
+def first_violation(original, lifted, expected_weight):
+    """Why lifted is not an independent set of original with the given
+    weight, as one line naming vertices by their 1-indexed METIS ids; the
+    first fault in ascending id order wins.  None when there is none."""
+    inside = set(lifted)
+    members = sorted(inside)
     for v in members:
         if not original.is_active(v):
-            return False
-        total += original.weight(v)
+            return f"vertex {v + 1} does not exist"
     for v in members:
         for u in original.neighbors(v):
-            if u in members:
-                return False
-    return total == expected_weight
+            if u in inside:
+                return (f"NotIndependent, edge {v + 1}-{u + 1} "
+                        "inside the solution")
+    actual = sum(original.weight(v) for v in members)
+    if actual != expected_weight:
+        return f"declared weight {expected_weight}, actual {actual}"
+    return None
+
+
+def verify_lift(original, lifted, expected_weight):
+    """True iff lifted is an independent set of original with the given weight."""
+    return first_violation(original, lifted, expected_weight) is None
 
 
 # -- binary serialization -----------------------------------------------------

@@ -21,12 +21,14 @@ def test_estimate_L_counts_small_exceeding_sets(c4a):
 
 
 def test_presets():
+    plain = make_blowup_config("nonincreasing")
+    assert (plain.X, plain.n_max, plain.d_max) == (0, 512, 64)
     fast = make_blowup_config("cyclic-fast")
     assert (fast.X, fast.n_max, fast.d_max) == (25, 512, 64)
     strong = make_blowup_config("cyclic-strong")
     assert (strong.X, strong.n_max, strong.d_max) == (64, 2048, 512)
-    for cfg in (fast, strong):
-        assert cfg.beta == 2.0 and cfg.alpha == 1.25
+    for cfg in (plain, fast, strong):
+        assert cfg.beta == 2.0
         assert cfg.variant == "extended"
         assert cfg.reduce_cfg.variant == cfg.variant
         assert cfg.reduce_cfg.d_max == cfg.d_max
@@ -39,15 +41,22 @@ def test_preset_overrides_flow_into_reduce_cfg():
     assert cfg.X == 3 and cfg.d_max == 7
     assert cfg.reduce_cfg.d_max == 7
     assert cfg.reduce_cfg.variant == "modified"
+    assert make_blowup_config("nonincreasing", X=5, n_max=None).X == 5
+
+
+def test_direct_config_drives_reduce_cfg():
+    cfg = BlowupConfig(variant="modified", d_max=7)
+    assert cfg.reduce_cfg.variant == "modified"
+    assert cfg.reduce_cfg.d_max == 7
 
 
 def test_blow_up_picks_cheapest_candidate(c4a):
     # keys b - (deg+1): v0 0, v1 -1, v2 -2, v3 -1; vertex 2 wins
     state = BlowupState()
     log = TransformLog()
-    status, centers, seeds = blow_up(c4a, state, BlowupConfig(), log)
+    status, center, seeds = blow_up(c4a, state, BlowupConfig(), log)
     assert status == CHANGED
-    assert centers == [2]
+    assert center == 2
     assert log.offset == 3
     # {1,2,3} replaced by one set-vertex adjacent to 0
     assert c4a.counts() == (2, 1)
@@ -59,8 +68,8 @@ def test_blow_up_no_candidate_when_all_excluded(c4a):
     for v in c4a.active_vertices():
         state.excluded[v] = neighborhood_fingerprint(c4a, v)
     snap = c4a.copy()
-    status, centers, _ = blow_up(c4a, state, BlowupConfig(), TransformLog())
-    assert status == NO_CANDIDATE and centers == []
+    status, center, _ = blow_up(c4a, state, BlowupConfig(), TransformLog())
+    assert status == NO_CANDIDATE and center is None
     assert c4a == snap
 
 
@@ -87,9 +96,9 @@ def test_blow_up_tightness_retry_doubles_bound():
         state.excluded[v] = neighborhood_fingerprint(g, v)
     cfg = BlowupConfig(n_max=512)
     log = TransformLog()
-    status, centers, _ = blow_up(g, state, cfg, log)
+    status, center, _ = blow_up(g, state, cfg, log)
     # one tightness abort, then success with the doubled bound
-    assert status == CHANGED and centers == [0]
+    assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
     assert log.offset == 1
 
@@ -101,8 +110,8 @@ def test_blow_up_nmax_abort_excludes_center():
         state.excluded[v] = neighborhood_fingerprint(g, v)
     snap = g.copy()
     cfg = BlowupConfig(n_max=5)   # 26 needed, global cap 5: hopeless
-    status, centers, _ = blow_up(g, state, cfg, TransformLog())
-    assert status == NO_CANDIDATE and centers == []
+    status, center, _ = blow_up(g, state, cfg, TransformLog())
+    assert status == NO_CANDIDATE and center is None
     assert 0 in state.excluded
     assert g == snap
 

@@ -112,6 +112,25 @@ def test_reduce_mode_and_overrides(tmp_path, capsys):
     assert out.startswith("kernel_n=")
 
 
+def test_reduce_cyclic_without_phases_is_nonincreasing(tmp_path, capsys):
+    graph = str(tmp_path / "g.graph")
+    main(["gen", "--n", "40", "--p", "0.15", "--seed", "1", "--out", graph])
+    files = {}
+    for name, flags in (("plain", ["--mode", "nonincreasing"]),
+                        ("x0", ["--mode", "cyclic-fast", "--unsucc", "0"]),
+                        ("fast", ["--mode", "cyclic-fast"])):
+        kernel = tmp_path / f"{name}.kernel"
+        assert main(["reduce", "--in", graph, "--out", str(kernel)]
+                    + flags) == EXIT_OK
+        files[name] = (kernel.read_bytes(),
+                       (tmp_path / f"{name}.kernel.meta.json").read_bytes())
+    assert files["plain"] == files["x0"] != files["fast"]
+    # the METIS header's first field is the kernel's vertex count
+    assert files["plain"][0].split()[0] == b"31"
+    assert files["fast"][0].split()[0] == b"0"
+    capsys.readouterr()
+
+
 def test_oracle_prints_solution(p3a_file, capsys):
     assert main(["oracle", "--in", p3a_file]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (DynGraph, ReduceConfig, TransformLog, clique_neighborhood_removal,
-                  clique_reduction, degree_two_fold, domination, lift,
-                  neighborhood_removal, twin_merge, verify_lift)
+from mwis import (RULE_ORDER, DynGraph, ReduceConfig, TransformLog,
+                  clique_neighborhood_removal, clique_reduction,
+                  degree_two_fold, domination, lift, neighborhood_removal,
+                  twin_merge, verify_lift)
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
 from reference import mwis_oracle, random_graph
@@ -228,7 +229,8 @@ def test_plateau_disabled_never_fires():
     rnd = random.Random(17)
     for _ in range(20):
         g = random_graph(rnd, 12, 0.3, wmax=9)
-        res = mwis.reduce(g, ReduceConfig(plateau_enabled=False))
+        rules = tuple(r for r in RULE_ORDER if r != "plateau_struction")
+        res = mwis.reduce(g, ReduceConfig(rules=rules))
         assert "plateau_struction" not in res.stats
 
 

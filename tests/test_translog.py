@@ -5,7 +5,8 @@ import mwis
 from mwis import CorruptLog, NotIndependent, TransformLog, lift, verify_lift
 from mwis.translog import (DegreeTwoFold, ExcludedVertex, IncludedVertex,
                            Pair, Struction, TwinMerge, VertexSet,
-                           VertexSetPlus, from_bytes, to_bytes)
+                           VertexSetPlus, first_violation, from_bytes,
+                           to_bytes)
 
 
 def test_offset_accumulates_per_event():
@@ -143,6 +144,14 @@ def test_verify_lift_checks_everything(p3a):
     assert not verify_lift(p3a, {0, 2}, 5)        # wrong weight
     assert not verify_lift(p3a, {0, 1}, 5)        # not independent
     assert not verify_lift(p3a, {0, 9}, 2)        # unknown vertex
+
+
+def test_first_violation_names_the_first_fault(p3a):
+    assert first_violation(p3a, {0, 2}, 4) is None
+    assert first_violation(p3a, {0, 2}, 5) == "declared weight 5, actual 4"
+    assert (first_violation(p3a, {0, 1, 2}, 7)
+            == "NotIndependent, edge 1-2 inside the solution")
+    assert first_violation(p3a, {9, 0, 1}, 2) == "vertex 10 does not exist"
 
 
 # -- serialization ---------------------------------------------------------------
