@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .reductions import (KernelResult, ReduceConfig, _reduce_into,
                          _with_neighbors, neighborhood_fingerprint)
-from .struction import VARIANT_OPS, Aborted, NotMinimal
+from .struction import (VARIANT_OPS, Aborted, NotMinimal,
+                        count_small_exceeding_sets)
 from .translog import TransformLog
 
 CHANGED = "changed"
@@ -75,17 +76,7 @@ def make_blowup_config(mode, **overrides):
 def estimate_L(g, v):
     """Exceeding independent sets of size <= 2 inside N(v): a lower bound
     on how many vertices a struction at v would create."""
-    wv = g.weight(v)
-    w, nbs = g._w, g._nbs
-    nbrs = g._adj[v]
-    count = sum(1 for u in nbrs if w[u] > wv)
-    for i, u in enumerate(nbrs):
-        wu = w[u]
-        nu = nbs[u]
-        for x in nbrs[i + 1:]:
-            if wu + w[x] > wv and x not in nu:
-                count += 1
-    return count
+    return count_small_exceeding_sets(g, v)
 
 
 @dataclass

@@ -20,7 +20,7 @@ changes.
 import heapq
 from dataclasses import dataclass
 
-from .struction import VARIANT_OPS, Aborted
+from .struction import VARIANT_OPS, Aborted, count_small_exceeding_sets
 from .translog import (DegreeTwoFold, ExcludedVertex, IncludedVertex,
                        TransformLog, TwinMerge)
 
@@ -234,6 +234,18 @@ def _struction_cap(g, v, cfg, plateau):
     return g.degree(v) + 1 if plateau else g.degree(v)
 
 
+def _must_exceed_cap(g, v, cfg, cap):
+    """True when an extended struction at v is bound to abort.
+
+    The extended variant creates one vertex per exceeding independent set
+    of N(v), so more than `cap` such sets of size <= 2 mean its enumeration
+    ends in Aborted (on the cap, or on the node budget first).  This does
+    not hold for extended_reduced, which keeps only the minimal sets.
+    """
+    return (cfg.variant == "extended"
+            and count_small_exceeding_sets(g, v, cap) > cap)
+
+
 def _center_is_minimal(g, v):
     wv = g.weight(v)
     return all(g.weight(u) >= wv for u in g.neighbors(v))
@@ -245,8 +257,10 @@ def decreasing_struction(g, v, cfg, log, changed=None):
         return False
     if cfg.variant in ("original", "modified") and not _center_is_minimal(g, v):
         return False
-    out = VARIANT_OPS[cfg.variant](g, v, _struction_cap(g, v, cfg, False), log,
-                                   changed=changed)
+    cap = _struction_cap(g, v, cfg, False)
+    if _must_exceed_cap(g, v, cfg, cap):
+        return False
+    out = VARIANT_OPS[cfg.variant](g, v, cap, log, changed=changed)
     return not isinstance(out, Aborted)
 
 
@@ -263,13 +277,13 @@ def plateau_struction(g, v, cfg, log, exclusion=None, changed=None):
     fp = neighborhood_fingerprint(g, v)
     if exclusion is not None and exclusion.get(v) == fp:
         return False
-    out = VARIANT_OPS[cfg.variant](g, v, _struction_cap(g, v, cfg, True), log,
-                                   changed=changed)
-    if isinstance(out, Aborted):
-        if exclusion is not None:
-            exclusion[v] = fp
-        return False
-    return True
+    cap = _struction_cap(g, v, cfg, True)
+    applied = (not _must_exceed_cap(g, v, cfg, cap)
+               and not isinstance(VARIANT_OPS[cfg.variant](
+                   g, v, cap, log, changed=changed), Aborted))
+    if not applied and exclusion is not None:
+        exclusion[v] = fp
+    return applied
 
 
 # -- pipeline -------------------------------------------------------------------

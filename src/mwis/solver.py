@@ -63,17 +63,18 @@ def upper_bound(g):
     """Weighted clique cover bound: scan vertices by descending weight
     (ties ascending id), put each into the first clique it is fully adjacent
     to, and sum the maximum weight per clique.  Never below alpha_w."""
-    order = sorted(g.active_vertices(), key=lambda v: (-g.weight(v), v))
+    w, nbs = g._w, g._nbs
     cliques = []
     bound = 0
-    for v in order:
+    for v in sorted(w, key=lambda u: (-w[u], u)):
+        nv = nbs[v]
         for cl in cliques:
-            if all(g.is_adjacent(v, u) for u in cl):
+            if nv.issuperset(cl):
                 cl.append(v)
                 break
         else:
             cliques.append([v])
-            bound += g.weight(v)  # opener carries the clique maximum
+            bound += w[v]  # opener carries the clique maximum
     return bound
 
 
@@ -348,9 +349,10 @@ def solve(g, cfg=None):
     except _Timeout:
         status = TIME_LIMIT
         if inc.solution is None:
-            # never got past the first deadline check: fall back to the
-            # solution implied by preprocessing alone (empty kernel choice)
-            sol = lift(log, set())
+            # never got past the first deadline check, so K and the log are
+            # still the preprocessing result: lift a local-search solution
+            # of the kernel
+            sol = lift(log, local_search(K, cfg.ls_budget)[1])
             inc.W = sum(g.weight(v) for v in sol)
             inc.solution = sol
     solution = inc.solution if inc.solution is not None else set()

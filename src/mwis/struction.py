@@ -41,14 +41,6 @@ class NeighborhoodSet:
     weight: int
 
 
-class _OverBudget(Exception):
-    pass
-
-
-class _OverCap(Exception):
-    pass
-
-
 def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
                              node_budget=None):
     """Independent subsets c of S with w(c) > threshold, DFS in ascending id order.
@@ -58,51 +50,97 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
     exceed the threshold), and the search never descends below an emitted set.
     Aborts as soon as more than `cap` sets have been emitted, or when the
     number of visited search nodes passes the node budget.
+
+    The DFS runs on an explicit stack, so deep neighborhoods cannot hit the
+    recursion limit.  A frame keeps the candidates still open to it as a
+    bitmask over the sorted items: bits above the last scanned index that
+    conflict with no member.  Every scanned candidate is charged one node,
+    conflicting ones included, or dense neighborhoods would let the DFS do
+    unbounded work without emitting anything; a run of conflicting
+    candidates is charged at once, which aborts exactly where a one-by-one
+    scan would, since nothing is emitted in between.
     """
     items = sorted(S)
-    wts = [g.weight(u) for u in items]
-    adj = [set(g.neighbors(u)) for u in items]
+    n = len(items)
+    w, nbs = g._w, g._nbs
+    wts = [w[u] for u in items]
+    bit = {u: 1 << i for i, u in enumerate(items)}
+    item_set = set(items)
+    conflicts = []
+    for u in items:
+        m = 0
+        for x in nbs[u] & item_set:
+            m |= bit[x]
+        conflicts.append(m)
     if node_budget is None:
         node_budget = max(8192, 16 * (cap + 1))
     out = []
     nodes = 0
-
-    def descend(start, members, weight, min_w):
-        nonlocal nodes
-        for i in range(start, len(items)):
-            # every scanned candidate is charged, or dense neighborhoods
-            # would let the DFS do unbounded work without emitting anything
-            nodes += 1
+    path = []       # members of the current frame, ascending
+    stack = []      # suspended parent frames
+    free, pos, weight, min_w = (1 << n) - 1, 0, 0, float("inf")
+    while True:
+        if not free:
+            nodes += n - pos
             if nodes > node_budget:
-                raise _OverBudget
-            if any(items[i] in adj[j] for j in members):
+                return Aborted("budget")
+            if not stack:
+                return out
+            free, pos, weight, min_w = stack.pop()
+            path.pop()
+            continue
+        low = free & -free
+        i = low.bit_length() - 1
+        nodes += i - pos + 1
+        if nodes > node_budget:
+            return Aborted("budget")
+        free ^= low
+        pos = i + 1
+        wi = wts[i]
+        cw = weight + wi
+        cm = wi if wi < min_w else min_w
+        if cw > threshold:
+            if not minimal_only or cw - cm <= threshold:
+                if len(out) >= cap:
+                    return Aborted("cap")
+                out.append(NeighborhoodSet(tuple(path) + (items[i],), cw))
+            if minimal_only:
+                # never descend past an exceeding set: any superset has
+                # this set as an exceeding proper subset
                 continue
-            visit(i, members + [i], weight + wts[i], min(min_w, wts[i]))
+        stack.append((free, pos, weight, min_w))
+        path.append(items[i])
+        free &= ~conflicts[i]
+        weight, min_w = cw, cm
 
-    def visit(idx, members, weight, min_w):
-        if weight > threshold:
-            if not minimal_only:
-                emit(members, weight)
-                descend(idx + 1, members, weight, min_w)
-            elif weight - min_w <= threshold:
-                emit(members, weight)
-            # minimal_only never descends past an exceeding set: any superset
-            # has this set as an exceeding proper subset
-        else:
-            descend(idx + 1, members, weight, min_w)
 
-    def emit(members, weight):
-        if len(out) + 1 > cap:
-            raise _OverCap
-        out.append(NeighborhoodSet(tuple(items[i] for i in members), weight))
+def count_small_exceeding_sets(g, v, stop_above=None):
+    """Independent sets of size <= 2 inside N(v) that outweigh v.
 
-    try:
-        descend(0, [], 0, float("inf"))
-    except _OverCap:
-        return Aborted("cap")
-    except _OverBudget:
-        return Aborted("budget")
-    return out
+    An extended struction at v creates one vertex for each of them, so the
+    count is a lower bound on its size.  With stop_above, counting stops as
+    soon as the count passes that value.
+    """
+    w, nbs = g._w, g._nbs
+    wv = w[v]
+    nbrs = g._adj[v]
+    if stop_above is None:
+        stop_above = len(nbrs) * (len(nbrs) + 1) // 2
+    count = 0
+    for u in nbrs:
+        if w[u] > wv:
+            count += 1
+    if count > stop_above:
+        return count
+    for i, u in enumerate(nbrs):
+        rest = wv - w[u]
+        nu = nbs[u]
+        for x in nbrs[i + 1:]:
+            if w[x] > rest and x not in nu:
+                count += 1
+                if count > stop_above:
+                    return count
+    return count
 
 
 def _require_minimal(g, v, wv, nbrs):

@@ -79,3 +79,58 @@ def random_graph(rnd, n, p, wmin=1, wmax=9):
             if rnd.random() < p:
                 g.add_edge(i, j)
     return g
+
+
+class _Abort(Exception):
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def exceeding_sets_recursive(g, S, threshold, cap, minimal_only=False,
+                             node_budget=None):
+    """The recursive exceeding-set DFS the package's enumeration replaced,
+    kept as an oracle for its order and abort behaviour.
+
+    Returns a list of (members, weight) in emission order, or the abort
+    reason "cap" (more than cap sets) or "budget" (more than node_budget
+    scanned candidates, default max(8192, 16 * (cap + 1))).
+    """
+    items = sorted(S)
+    wts = [g.weight(u) for u in items]
+    adj = [set(g.neighbors(u)) for u in items]
+    if node_budget is None:
+        node_budget = max(8192, 16 * (cap + 1))
+    out = []
+    nodes = 0
+
+    def descend(start, members, weight, min_w):
+        nonlocal nodes
+        for i in range(start, len(items)):
+            nodes += 1
+            if nodes > node_budget:
+                raise _Abort("budget")
+            if any(items[i] in adj[j] for j in members):
+                continue
+            visit(i, members + [i], weight + wts[i], min(min_w, wts[i]))
+
+    def visit(idx, members, weight, min_w):
+        if weight > threshold:
+            if not minimal_only:
+                emit(members, weight)
+                descend(idx + 1, members, weight, min_w)
+            elif weight - min_w <= threshold:
+                emit(members, weight)
+        else:
+            descend(idx + 1, members, weight, min_w)
+
+    def emit(members, weight):
+        if len(out) + 1 > cap:
+            raise _Abort("cap")
+        out.append((tuple(items[i] for i in members), weight))
+
+    try:
+        descend(0, [], 0, float("inf"))
+    except _Abort as stop:
+        return stop.reason
+    return out

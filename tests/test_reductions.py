@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (RULE_ORDER, DynGraph, ReduceConfig, TransformLog,
+from mwis import (RULE_ORDER, Aborted, DynGraph, ReduceConfig, TransformLog,
                   clique_neighborhood_removal, clique_reduction,
                   degree_two_fold, domination, lift, neighborhood_removal,
                   twin_merge, verify_lift)
+from mwis.reductions import _must_exceed_cap
+from mwis.struction import count_small_exceeding_sets
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
 from reference import mwis_oracle, random_graph
@@ -162,6 +164,33 @@ def test_plateau_struction_excludes_after_failure():
         assert 0 in exclusion
         # second attempt short-circuits on the recorded fingerprint
         assert not mwis.plateau_struction(g, 0, cfg, log, exclusion)
+
+
+def test_struction_cap_precheck_skips_only_certain_aborts():
+    # wherever the count of exceeding sets of size <= 2 passes the cap of a
+    # decreasing (deg) or plateau (deg + 1) struction, the full extended
+    # struction must abort; the stopped count agrees with the full one
+    # up to the cap
+    extended = ReduceConfig(variant="extended")
+    reduced = ReduceConfig(variant="extended_reduced")
+    skipped = kept = 0
+    for seed in range(60):
+        rnd = random.Random(seed)
+        g = random_graph(rnd, rnd.randint(4, 16),
+                         rnd.choice([0.15, 0.3, 0.5]), wmax=30)
+        for v in g.active_vertices():
+            full = count_small_exceeding_sets(g, v)
+            for cap in (g.degree(v), g.degree(v) + 1):
+                stopped = count_small_exceeding_sets(g, v, cap)
+                assert stopped == full if full <= cap else stopped > cap
+                assert not _must_exceed_cap(g, v, reduced, cap)
+                if not _must_exceed_cap(g, v, extended, cap):
+                    kept += 1
+                    continue
+                skipped += 1
+                out = mwis.extended_struction(g.copy(), v, cap, TransformLog())
+                assert isinstance(out, Aborted), (seed, v, cap)
+    assert skipped >= 100 and kept >= 100, (skipped, kept)
 
 
 # -- pipeline -----------------------------------------------------------------

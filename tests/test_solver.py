@@ -198,6 +198,17 @@ def test_time_limit_returns_best_effort():
     assert sum(g.weight(v) for v in res.solution) == res.weight
 
 
+def test_time_limit_before_search_lifts_a_local_search_of_the_kernel():
+    # the deadline passes during blow-up, before the search starts; the
+    # result is still a good solution, not just what preprocessing implies
+    g = mwis.random_gnp_graph(100, 0.1, seed=3)
+    res = solve(g, SolverConfig(mode="cyclic-strong", time_limit=1e-6))
+    assert res.status == TIME_LIMIT
+    assert is_independent(g, res.solution)
+    assert sum(g.weight(v) for v in res.solution) == res.weight
+    assert res.weight >= 3000  # the optimum is 3511
+
+
 def test_time_limit_covers_cyclic_preprocessing():
     g = mwis.random_gnp_graph(80, 0.08, seed=31)
     import time

@@ -10,7 +10,8 @@ from mwis import (Aborted, NotMinimal, TransformLog, enumerate_exceeding_sets,
 from mwis.struction import NeighborhoodSet
 from mwis.translog import Pair, VertexSet, VertexSetPlus
 
-from reference import mwis_oracle, random_graph
+from reference import (exceeding_sets_recursive, mwis_oracle,
+                       random_graph)
 
 
 def weights_of(g):
@@ -194,6 +195,45 @@ def test_enumerate_respects_adjacency(k3u):
     # neighbors of nothing in particular: a clique allows only singletons
     sets = enumerate_exceeding_sets(k3u, [0, 1, 2], threshold=1, cap=10)
     assert sets == [NeighborhoodSet((0,), 4), NeighborhoodSet((1,), 2)]
+
+
+def test_enumerate_matches_recursive_reference():
+    # same sets in the same order, or an abort for the same reason, as the
+    # recursive DFS it replaced, over caps and node budgets on both sides
+    # of every abort
+    outcomes = {"empty": 0, "sets": 0, "cap": 0, "budget": 0}
+    for case in range(1200):
+        rnd = random.Random(case)
+        n = rnd.randint(0, 26)
+        g = random_graph(rnd, n, rnd.choice([0.1, 0.3, 0.5, 0.8]), wmax=20)
+        S = rnd.sample(range(n), rnd.randint(0, n))
+        threshold = rnd.randint(0, sum(g.weight(u) for u in S) + 1)
+        cap = rnd.choice([0, 1, 3, 10, 40, 200, 5000])
+        minimal_only = rnd.random() < 0.5
+        budget = rnd.choice([None, 5, 50, 500])
+        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only,
+                                       budget)
+        want = exceeding_sets_recursive(g, S, threshold, cap, minimal_only,
+                                        budget)
+        if isinstance(got, Aborted):
+            assert got.reason == want, case
+            outcomes[want] += 1
+        else:
+            assert [(ns.members, ns.weight) for ns in got] == want, case
+            outcomes["sets" if got else "empty"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_extended_struction_on_deep_star_aborts_without_recursion():
+    # a 500-leaf star puts a 500-deep chain into the set DFS, far below
+    # the recursion limit's reach for a recursive search
+    g = mwis.new_graph(501, [499] + [1] * 500)
+    for leaf in range(1, 501):
+        g.add_edge(0, leaf)
+    before = g.copy()
+    out = extended_struction(g, 0, 2048, TransformLog())
+    assert isinstance(out, Aborted)
+    assert g == before
 
 
 # -- the weight identity, property style ---------------------------------------
