@@ -95,7 +95,8 @@ def blow_up(K, state, cfg, log):
             d = K.degree(v)
             if d > cfg.d_max:
                 continue
-            if state.excluded.get(v) == neighborhood_fingerprint(K, v):
+            if (v in state.excluded
+                    and state.excluded[v] == neighborhood_fingerprint(K, v)):
                 continue
             b = state.bounds.get(v)
             if b is None:

@@ -10,7 +10,7 @@ deterministic.  A set mirror of every neighbor list backs O(1) adjacency
 tests and the subset checks the reduction rules lean on.
 """
 
-from bisect import insort
+from bisect import bisect_left, insort
 
 
 class GraphError(Exception):
@@ -92,7 +92,8 @@ class DynGraph:
         """Deactivate v and strip it from all neighbor lists."""
         self._check_active(v)
         for u in self._adj[v]:
-            self._adj[u].remove(v)
+            lst = self._adj[u]
+            del lst[bisect_left(lst, v)]
             self._nbs[u].discard(v)
         self._m -= len(self._adj[v])
         del self._adj[v]

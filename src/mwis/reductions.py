@@ -5,11 +5,19 @@ Rules are attempted in a fixed order from cheapest to most expensive:
     neighborhood_removal, degree_two_fold, clique_reduction, domination,
     twin, clique_neighborhood_removal, decreasing_struction, plateau_struction
 
-A dirty-vertex queue drives the fixpoint: every vertex starts dirty, a popped
-vertex is tested against the rules in order, and whenever a rule fires all
-vertices whose weight or neighborhood may have changed (plus their neighbors)
-are re-enqueued.  Vertices whose weight reaches zero are swept out first,
-recorded as ExcludedVertex.
+A dirty-vertex queue drives the fixpoint: every vertex starts dirty with
+every rule marked, and a popped vertex is tested against its marked rules in
+order.  Whenever a rule fires, the vertices whose weight or neighborhood may
+have changed, plus their neighbors, are re-enqueued.  Each one is marked
+with the cheap rules that could have started to apply there, and no others:
+after a removal that changes no weight, the neighbors of the survivors that
+lost a neighbor re-test only domination and twin, and after a single-vertex
+removal those survivors skip domination, and skip twin unless a new twin is
+possible.  A rule is left unmarked only where it provably still fails, so
+the rules fire exactly as if every rule were re-tested; a blow-up clique is
+peeled without re-testing the whole clique for domination per peel.
+Vertices whose weight reaches zero are swept out first, recorded as
+ExcludedVertex.
 
 Plateau structions (which keep the vertex count unchanged) are bounded by a
 budget of 4|V| applications per call and an exclusion set so they cannot
@@ -306,57 +314,71 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     configured rule order still holds, because a struction at v is only
     tried in states where every cheaper rule was already tried at v and
     did not fire.
+
+    A queued vertex carries a bitmask of the cheap rules that could have
+    started to apply there since it was last tested; a popped vertex runs
+    only those, in rule order.  The masks leave a rule out only where it
+    provably still returns False (see _mark_removal), so the same rules
+    fire in the same order as when every rule is re-tested.
     """
     rules = [r for r in RULE_ORDER if r in cfg.rules]
-    cheap = [r for r in rules if r in _SIMPLE_RULES]
+    cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
     budget = 4 * g.counts()[0]
     exclusion = {}
+    w = g._w
 
     if seeds is None:
         seeds = g.active_vertices()
     start = sorted(set(seeds))
     cheap_heap = list(start)
-    cheap_q = set(start)
+    pending = dict.fromkeys(start, _ALL)  # queued vertex -> rules to re-test
     exp_heap = list(start) if expensive else []
     exp_q = set(exp_heap)
 
-    def enqueue(vs):
+    def enqueue(vs, mask):
         for x in vs:
-            if x not in cheap_q:
-                cheap_q.add(x)
+            m = pending.get(x)
+            if m is None:
+                pending[x] = mask
                 heapq.heappush(cheap_heap, x)
+            else:
+                pending[x] = m | mask
             if expensive and x not in exp_q:
                 exp_q.add(x)
                 heapq.heappush(exp_heap, x)
 
     def fire(rule, changed):
         stats[rule] = stats.get(rule, 0) + 1
-        live = [x for x in changed if g.is_active(x)]
-        enqueue(_with_neighbors(g, live))
+        if rule == "domination":
+            _mark_removal(g, changed, True, enqueue)
+        elif rule in _CLOSED_REMOVALS:
+            _mark_removal(g, {x for x in changed if x in w}, False, enqueue)
+        else:
+            enqueue(_with_neighbors(g, [x for x in changed if x in w]), _ALL)
 
     while cheap_heap or exp_heap:
         if cheap_heap:
             v = heapq.heappop(cheap_heap)
-            cheap_q.discard(v)
-            if not g.is_active(v):
+            mask = pending.pop(v)
+            if v not in w:
                 continue
-            if g.weight(v) == 0:
-                nbrs = g.neighbors(v)
+            if w[v] == 0:
+                nbrs = set(g._adj[v])
                 log.record(ExcludedVertex(v))
                 g.remove_vertex(v)
                 stats["zero_weight"] = stats.get("zero_weight", 0) + 1
-                enqueue(_with_neighbors(g, nbrs))
+                _mark_removal(g, nbrs, True, enqueue)
                 continue
             changed = set()
-            for rule in cheap:
-                if _SIMPLE_RULES[rule](g, v, log, changed):
+            for rule, bit in cheap:
+                if mask & bit and _SIMPLE_RULES[rule](g, v, log, changed):
                     fire(rule, changed)
                     break
             continue
         v = heapq.heappop(exp_heap)
         exp_q.discard(v)
-        if not g.is_active(v):
+        if v not in w:
             continue
         changed = set()
         for rule in expensive:
@@ -375,6 +397,43 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
                 break
 
 
+def _mark_removal(g, P, single, enqueue):
+    """Queue the region around vertices just removed with no weight change.
+
+    P holds the surviving vertices that lost a neighbor, far = N(P) - P.
+    A far vertex kept its neighborhood, the weights in it and the edges
+    inside it, so of the cheap rules only domination and twin, which look
+    one step further, can have started to apply there.  When a single
+    vertex x went (a domination firing or the zero-weight sweep), for v in P:
+
+    - v is not newly dominated: N[v] loses x, and the closed neighborhood
+      of a remaining neighbor u either loses x too or never held it, so
+      N[u] lies within N[v] after the removal exactly when it did before;
+    - a new twin u of v has N(u) = N(v) - {x} and is not in P (otherwise
+      the two were twins before).  If N(v) meets P, u neighbors a vertex
+      of P and is a far vertex of v's degree; otherwise N(v) misses P.
+    """
+    adj = g._adj
+    far = set()
+    for p in P:
+        far.update(adj[p])
+    far -= P
+    enqueue(far, _DOM | _TWIN)
+    if not single:
+        enqueue(P, _ALL)
+        return
+    nbs = g._nbs
+    far_degrees = {len(adj[y]) for y in far}
+    no_twin, twin = [], []
+    for p in P:
+        if len(adj[p]) in far_degrees or nbs[p].isdisjoint(P):
+            twin.append(p)
+        else:
+            no_twin.append(p)
+    enqueue(no_twin, _ALL & ~(_DOM | _TWIN))
+    enqueue(twin, _ALL & ~_DOM)
+
+
 def _with_neighbors(g, changed):
     adj = g._adj
     out = set(changed)
@@ -382,6 +441,15 @@ def _with_neighbors(g, changed):
         out.update(adj[x])
     return out
 
+
+# the bit of each rule in a queued vertex's mask
+_BIT = {r: 1 << i for i, r in enumerate(RULE_ORDER)}
+_ALL = (1 << len(RULE_ORDER)) - 1
+_DOM, _TWIN = _BIT["domination"], _BIT["twin"]
+
+# rules that remove a closed neighborhood and change no weight
+_CLOSED_REMOVALS = frozenset(("neighborhood_removal", "clique_reduction",
+                              "clique_neighborhood_removal"))
 
 _SIMPLE_RULES = {
     "neighborhood_removal": neighborhood_removal,
