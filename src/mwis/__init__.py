@@ -6,7 +6,7 @@ variants, a cyclic blow-up preprocessor, and a branch-and-reduce solver.
 """
 
 from .graph import (DuplicateEdge, DynGraph, GraphError, InactiveVertex,
-                    InvalidWeight, MissingEdge, SelfLoop, new_graph)
+                    InvalidWeight, SelfLoop, new_graph)
 from .translog import (CorruptLog, LiftError, NotIndependent, TransformLog,
                        lift, verify_lift)
 from .struction import (Aborted, NotMinimal, VARIANT_OPS,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DynGraph", "new_graph", "GraphError", "InvalidWeight", "InactiveVertex",
-    "SelfLoop", "DuplicateEdge", "MissingEdge",
+    "SelfLoop", "DuplicateEdge",
     "TransformLog", "lift", "verify_lift", "LiftError", "NotIndependent",
     "CorruptLog",
     "original_struction", "modified_struction", "extended_struction",

@@ -33,10 +33,6 @@ class DuplicateEdge(GraphError):
     pass
 
 
-class MissingEdge(GraphError):
-    pass
-
-
 class DynGraph:
     """Mutable weighted graph supporting removal and fresh-vertex creation."""
 
@@ -74,19 +70,6 @@ class DynGraph:
         self._nbs[u].add(v)
         self._nbs[v].add(u)
         self._m += 1
-
-    def remove_edge(self, u, v):
-        self._check_active(u)
-        self._check_active(v)
-        if u == v:
-            raise SelfLoop(f"self-loop at {u}")
-        if v not in self._nbs[u]:
-            raise MissingEdge(f"edge ({u},{v}) not present")
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-        self._nbs[u].discard(v)
-        self._nbs[v].discard(u)
-        self._m -= 1
 
     def remove_vertex(self, v):
         """Deactivate v and strip it from all neighbor lists."""
@@ -139,14 +122,6 @@ class DynGraph:
     def next_id(self):
         """The id the next add_vertex call will return."""
         return self._next_id
-
-    def total_weight(self):
-        return sum(self._w.values())
-
-    def neighborhood_weight(self, v):
-        """Sum of weights over N(v)."""
-        self._check_active(v)
-        return sum(self._w[u] for u in self._adj[v])
 
     def subgraph(self, vertices):
         """Induced subgraph on the given vertices, ids and next_id preserved."""

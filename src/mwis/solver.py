@@ -1,15 +1,20 @@
 """Branch-and-reduce exact MWIS solver.
 
-The search follows the classic recursive scheme: reduce, bound, split into
-connected components, otherwise branch on the vertex of maximum degree
-(ties: maximum weight, then minimum id) with the include case first.
+The search follows the classic recursive scheme: bound, reduce, bound
+again, split into connected components, otherwise branch on the vertex of
+maximum degree (ties: maximum weight, then minimum id) with the include case
+first.  The first bound test skips the re-reduction of a node that cannot
+beat the incumbent; it needs an incumbent, so a component's root is always
+reduced.
 
     Solve(G, c, W):
+        if W is set and c + UpperBound(G) <= W:  return W
         (G, c) <- Reduce(G, c)
-        if W = 0:               W <- c + local_search(G)
+        if W is unset:          W <- c + local_search(G)
         if c + UpperBound(G) <= W:  return W
         if V(G) is empty:       return max(W, c)
-        if G is disconnected:   c <- c + sum Solve(G_i, 0, 0); return max(W, c)
+        if G is disconnected:   c <- c + sum Solve(G_i, 0, unset)
+                                return max(W, c)
         branch; W <- Solve(include); W <- Solve(exclude); return W
 
 The offset c is exactly the running TransformLog offset: branching decisions
@@ -60,22 +65,55 @@ class SolveResult:
 # -- bounds -------------------------------------------------------------------
 
 def upper_bound(g):
-    """Weighted clique cover bound: scan vertices by descending weight
-    (ties ascending id), put each into the first clique it is fully adjacent
-    to, and sum the maximum weight per clique.  Never below alpha_w."""
+    """Weight-splitting clique cover bound (Warren & Hicks 2006).
+
+    Every clique C carries a level, and every vertex v lies in cliques whose
+    levels sum to at least w(v).  An independent set meets each clique at
+    most once, so the sum of the levels is never below alpha_w.
+
+    Vertices are taken by ascending degree (ties: descending weight, then
+    ascending id); zero-weight vertices need no cover.  A vertex v with
+    remaining weight r walks the cliques it is fully adjacent to in creation
+    order: it joins C when level(C) <= r and pays level(C); otherwise C is
+    split, C + {v} becoming a new clique of level r while C keeps the rest.
+    Weight still uncovered after the walk opens the clique {v}.
+    """
     w, nbs = g._w, g._nbs
-    cliques = []
-    bound = 0
-    for v in sorted(w, key=lambda u: (-w[u], u)):
+    members = []   # clique index -> its vertices
+    levels = []    # clique index -> its level
+    cliques_of = {}  # vertex -> indices of the cliques holding it, ascending
+    for v in sorted(w, key=lambda u: (len(nbs[u]), -w[u], u)):
+        r = w[v]
+        if not r:
+            continue
         nv = nbs[v]
-        for cl in cliques:
-            if nv.issuperset(cl):
+        joined = []
+        # a clique v is fully adjacent to holds some neighbour of v
+        for i in sorted({i for u in nv for i in cliques_of.get(u, ())}):
+            cl = members[i]
+            if not nv.issuperset(cl):
+                continue
+            if levels[i] <= r:
                 cl.append(v)
+                joined.append(i)
+                r -= levels[i]
+            else:
+                levels[i] -= r
+                j = len(levels)
+                for u in cl:
+                    cliques_of[u].append(j)
+                members.append(cl + [v])
+                levels.append(r)
+                joined.append(j)
+                r = 0
+            if not r:
                 break
-        else:
-            cliques.append([v])
-            bound += w[v]  # opener carries the clique maximum
-    return bound
+        if r:
+            joined.append(len(levels))
+            members.append([v])
+            levels.append(r)
+        cliques_of[v] = joined
+    return sum(levels)
 
 
 def _solution_weight(g, sol):
@@ -232,7 +270,7 @@ def components(g):
         stack = [v]
         while stack:
             x = stack.pop()
-            for u in g.neighbors(x):
+            for u in g._adj[x]:
                 if u not in seen:
                     seen.add(u)
                     comp.append(u)
@@ -242,8 +280,8 @@ def components(g):
 
 
 def _branch_vertex(g):
-    return max(g.active_vertices(),
-               key=lambda u: (g.degree(u), g.weight(u), -u))
+    w, nbs = g._w, g._nbs
+    return max(w, key=lambda u: (len(nbs[u]), w[u], -u))
 
 
 # -- the search -------------------------------------------------------------------
@@ -277,6 +315,10 @@ def _search(G, log, sh, inc, seed_ls, depth):
     sh.check_time()
     if depth > sh.stats["max_depth"]:
         sh.stats["max_depth"] = depth
+    # the bound is far cheaper than a re-reduction; a component's first
+    # node has no incumbent yet and must produce one
+    if inc.solution is not None and log.offset + upper_bound(G) <= inc.W:
+        return
     _reduce_into(G, sh.reduce_cfg, log, sh.stats)
     c = log.offset
     if seed_ls:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (OPTIMAL, SizeLimit, SolverConfig, TIME_LIMIT,
-                  brute_force_mwis, components, local_search, solve,
-                  upper_bound, verify_lift)
+from mwis import (DynGraph, OPTIMAL, ReduceConfig, SizeLimit, SolverConfig,
+                  TIME_LIMIT, brute_force_mwis, components, local_search,
+                  solve, upper_bound, verify_lift)
+from mwis import solver
 from mwis.solver import _branch_vertex
 
 from reference import is_independent, mwis_oracle, random_graph
@@ -66,6 +67,24 @@ def test_upper_bound_never_below_optimum(seed):
     g = random_graph(rnd, rnd.randint(1, 12), rnd.choice([0.2, 0.5, 0.8]),
                      wmax=30)
     assert upper_bound(g) >= mwis_oracle(g)[0]
+
+
+def test_upper_bound_never_below_brute_force_with_narrow_weights():
+    # weights 0..3 make degree/weight ties, zero weights and splits common
+    rnd = random.Random(0xC0FE)
+    for _ in range(400):
+        n = rnd.randint(1, 18)
+        g = random_graph(rnd, n, rnd.choice([0.15, 0.3, 0.5, 0.8]))
+        for v in range(n):
+            g.set_weight(v, rnd.randint(0, 3))
+        assert upper_bound(g) >= brute_force_mwis(g)[0]
+
+
+def test_upper_bound_split_is_tighter_than_a_greedy_cover(p3a):
+    # path 0-1-2, weights (2, 3, 2): the centre pays level 2 to join {0},
+    # then splits {2} into {2, 1} and {2} at level 1 each.  A cover that can
+    # only join or open cliques needs 2 + 2 + 1 = 5.
+    assert upper_bound(p3a) == 4 == brute_force_mwis(p3a)[0]
 
 
 def test_local_search_returns_valid_lower_bound(c4a):
@@ -158,6 +177,66 @@ def test_solve_sums_over_components():
             g.add_edge(off + i, off + (i + 1) % 4)
     res = solve(g)
     assert res.weight == 8
+
+
+def _disjoint_union(parts):
+    g = DynGraph()
+    for part in parts:
+        base = g.next_id
+        for v in part.active_vertices():
+            g.add_vertex(part.weight(v))
+        for v in part.active_vertices():
+            for u in part.neighbors(v):
+                if v < u:
+                    g.add_edge(base + v, base + u)
+    return g
+
+
+def test_solve_over_components_with_zero_weight_parts(monkeypatch):
+    # pieces that survive the reductions, so the kernel splits and every
+    # component is searched from a node without an incumbent
+    rnd = random.Random(0xD15C)
+    pieces = []
+    while len(pieces) < 8:
+        g = random_graph(rnd, 12, 0.5, wmax=200)
+        if mwis.preprocess(g.copy(), "nonincreasing").kernel.counts()[0]:
+            pieces.append(g)
+    searched = []
+    real = solver._solve_subgraph
+    monkeypatch.setattr(solver, "_solve_subgraph",
+                        lambda c, sh: searched.append(c) or real(c, sh))
+    for i in range(0, 8, 2):
+        zero = random_graph(rnd, 3, 0.7)
+        for v in zero.active_vertices():
+            zero.set_weight(v, 0)
+        g = _disjoint_union([zero, pieces[i], zero, pieces[i + 1]])
+        res = solve(g)
+        assert res.weight == brute_force_mwis(g)[0]
+        assert is_independent(g, res.solution)
+    assert len(searched) >= 8
+
+    # a component that weighs nothing is still solved, not pruned unsolved
+    sh = solver._Shared(None, ReduceConfig(), 64,
+                        {"branches": 0, "max_depth": 0})
+    assert real(zero, sh) == (0, set())
+
+
+def test_bound_at_node_entry_skips_reductions(monkeypatch):
+    counts = {"search": 0, "reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_search", counted("search", solver._search))
+    monkeypatch.setattr(solver, "_reduce_into",
+                        counted("reduce", solver._reduce_into))
+    res = solve(mwis.random_gnp_graph(45, 0.15, seed=1),
+                SolverConfig(mode="nonincreasing"))
+    assert res.weight == 1747
+    assert 0 < counts["reduce"] < counts["search"]
 
 
 def test_solve_reports_stats():
