@@ -89,10 +89,11 @@ def blow_up(K, state, cfg, log):
     """Apply one increasing struction to the irreducible graph K.  Returns
     (CHANGED, center, seeds), where seeds is the dirty region the follow-up
     reduction must revisit, or (NO_CANDIDATE, None, None)."""
+    nbs = K._nbs
     while True:
         best = None
         for v in K.active_vertices():
-            d = K.degree(v)
+            d = len(nbs[v])
             if d > cfg.d_max:
                 continue
             if (v in state.excluded
@@ -128,7 +129,7 @@ def blow_up(K, state, cfg, log):
                 state.bounds[v] = max(math.ceil(cfg.beta * b), b + 1)
             continue
         state.bounds.pop(v, None)
-        live = [x for x in changed if K.is_active(x)]
+        live = [x for x in changed if x in K._w]
         return CHANGED, v, _with_neighbors(K, live)
 
 

@@ -5,12 +5,12 @@ never reused: removing vertex 3 and adding a new vertex yields an id strictly
 greater than every id the graph has ever issued.  This lets transformation
 logs refer to long-removed vertices without ambiguity.
 
-Neighbor lists are kept sorted ascending and all iteration orders are
-deterministic.  A set mirror of every neighbor list backs O(1) adjacency
-tests and the subset checks the reduction rules lean on.
+Each vertex keeps its neighbors in one set, which backs O(1) adjacency
+tests and the subset checks the reduction rules lean on.  Set iteration
+order depends on insertion history, so code whose output depends on an
+order sorts explicitly; neighbors() is the sorted view for callers outside
+the package.
 """
-
-from bisect import bisect_left, insort
 
 
 class GraphError(Exception):
@@ -36,12 +36,11 @@ class DuplicateEdge(GraphError):
 class DynGraph:
     """Mutable weighted graph supporting removal and fresh-vertex creation."""
 
-    __slots__ = ("_w", "_adj", "_nbs", "_m", "_next_id")
+    __slots__ = ("_w", "_nbs", "_m", "_next_id")
 
     def __init__(self):
         self._w = {}      # active vertex id -> weight
-        self._adj = {}    # active vertex id -> sorted list of neighbor ids
-        self._nbs = {}    # active vertex id -> the same neighbors as a set
+        self._nbs = {}    # active vertex id -> set of neighbor ids
         self._m = 0       # number of edges
         self._next_id = 0
 
@@ -54,7 +53,6 @@ class DynGraph:
         v = self._next_id
         self._next_id += 1
         self._w[v] = w
-        self._adj[v] = []
         self._nbs[v] = set()
         return v
 
@@ -65,22 +63,18 @@ class DynGraph:
         self._check_active(v)
         if v in self._nbs[u]:
             raise DuplicateEdge(f"edge ({u},{v}) already present")
-        insort(self._adj[u], v)
-        insort(self._adj[v], u)
         self._nbs[u].add(v)
         self._nbs[v].add(u)
         self._m += 1
 
     def remove_vertex(self, v):
-        """Deactivate v and strip it from all neighbor lists."""
+        """Deactivate v and strip it from all neighbor sets."""
         self._check_active(v)
-        for u in self._adj[v]:
-            lst = self._adj[u]
-            del lst[bisect_left(lst, v)]
-            self._nbs[u].discard(v)
-        self._m -= len(self._adj[v])
-        del self._adj[v]
-        del self._nbs[v]
+        nbs = self._nbs
+        nv = nbs.pop(v)
+        for u in nv:
+            nbs[u].discard(v)
+        self._m -= len(nv)
         del self._w[v]
 
     # -- queries -----------------------------------------------------------
@@ -96,11 +90,11 @@ class DynGraph:
     def neighbors(self, v):
         """Neighbors of v as a fresh sorted list (safe to mutate)."""
         self._check_active(v)
-        return list(self._adj[v])
+        return sorted(self._nbs[v])
 
     def degree(self, v):
         self._check_active(v)
-        return len(self._adj[v])
+        return len(self._nbs[v])
 
     def weight(self, v):
         self._check_active(v)
@@ -128,9 +122,8 @@ class DynGraph:
         keep = set(vertices)
         g = DynGraph.__new__(DynGraph)
         g._w = {v: self._w[v] for v in keep}
-        g._adj = {v: [u for u in self._adj[v] if u in keep] for v in keep}
-        g._nbs = {v: set(nbrs) for v, nbrs in g._adj.items()}
-        g._m = sum(len(nbrs) for nbrs in g._adj.values()) // 2
+        g._nbs = {v: self._nbs[v] & keep for v in keep}
+        g._m = sum(len(nbrs) for nbrs in g._nbs.values()) // 2
         g._next_id = self._next_id
         return g
 
@@ -139,7 +132,6 @@ class DynGraph:
     def copy(self):
         g = DynGraph.__new__(DynGraph)
         g._w = dict(self._w)
-        g._adj = {v: list(nbrs) for v, nbrs in self._adj.items()}
         g._nbs = {v: set(nbrs) for v, nbrs in self._nbs.items()}
         g._m = self._m
         g._next_id = self._next_id
@@ -148,7 +140,7 @@ class DynGraph:
     def __eq__(self, other):
         if not isinstance(other, DynGraph):
             return NotImplemented
-        return (self._w == other._w and self._adj == other._adj
+        return (self._w == other._w and self._nbs == other._nbs
                 and self._m == other._m and self._next_id == other._next_id)
 
     def __repr__(self):

@@ -62,7 +62,7 @@ class KernelResult:
 def neighborhood_fingerprint(g, v):
     """Weight-and-neighborhood snapshot used by exclusion sets."""
     w = g._w
-    return (w[v], tuple((u, w[u]) for u in g._adj[v]))
+    return (w[v], frozenset((u, w[u]) for u in g._nbs[v]))
 
 
 # -- the six simple rules ----------------------------------------------------
@@ -72,16 +72,17 @@ def neighborhood_fingerprint(g, v):
 # pipeline re-examines exactly the affected part of the graph.
 #
 # These run hundreds of thousands of times per blow-up cycle, so they read
-# the graph internals directly instead of going through the copying public
-# accessors.  Borrowed neighbor lists are never mutated by the removals
-# below: remove_vertex only edits the lists of the removed vertex's
-# neighbors, and a vertex never neighbors itself.
+# the graph's maps _w and _nbs directly instead of going through the checked
+# public accessors.  A borrowed neighbor set stays valid through the
+# removals below: remove_vertex only edits the sets of the removed vertex's
+# neighbors, and a removed vertex's set is never mutated afterwards, since
+# no remaining vertex neighbors it.
 
 def _remove_closed(g, v, nbrs, changed):
     if changed is not None:
-        adj = g._adj
+        nbs = g._nbs
         for u in nbrs:
-            changed.update(adj[u])
+            changed.update(nbs[u])
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
@@ -89,9 +90,9 @@ def _remove_closed(g, v, nbrs, changed):
 
 def neighborhood_removal(g, v, log, changed=None):
     """Include v when it outweighs its whole neighborhood."""
-    wv = g.weight(v)
     w = g._w
-    nbrs = g._adj[v]
+    wv = w[v]
+    nbrs = g._nbs[v]
     total = 0
     for u in nbrs:
         total += w[u]
@@ -109,16 +110,17 @@ def degree_two_fold(g, v, log, changed=None):
     replaced by one vertex of weight w(u)+w(x)-w(v) on the union
     neighborhood, and w(v) is committed to the offset.
     """
-    if g.degree(v) != 2:
+    nbs = g._nbs
+    if len(nbs[v]) != 2:
         return False
-    u, x = g._adj[v]
-    if x in g._nbs[u]:
+    u, x = sorted(nbs[v])
+    if x in nbs[u]:
         return False
     w = g._w
     wv, wu, wx = w[v], w[u], w[x]
     if not (max(wu, wx) <= wv < wu + wx):
         return False
-    targets = (g._nbs[u] | g._nbs[x]) - {v, u, x}
+    targets = (nbs[u] | nbs[x]) - {v, u, x}
     g.remove_vertex(v)
     g.remove_vertex(u)
     g.remove_vertex(x)
@@ -134,17 +136,16 @@ def degree_two_fold(g, v, log, changed=None):
 
 def clique_reduction(g, v, log, changed=None):
     """Include v when N(v) is a clique and v carries its maximum weight."""
-    wv = g.weight(v)
     w, nbs = g._w, g._nbs
-    nbrs = g._adj[v]
+    wv = w[v]
+    nbrs = nbs[v]
     for u in nbrs:
         if w[u] > wv:
             return False
-    for i, a in enumerate(nbrs):
-        na = nbs[a]
-        for b in nbrs[i + 1:]:
-            if b not in na:
-                return False
+    others = len(nbrs) - 1
+    for a in nbrs:
+        if len(nbs[a] & nbrs) < others:
+            return False
     log.record(IncludedVertex(v, wv))
     _remove_closed(g, v, nbrs, changed)
     return True
@@ -152,16 +153,16 @@ def clique_reduction(g, v, log, changed=None):
 
 def domination(g, v, log, changed=None):
     """Exclude v when some neighbor u with w(u) >= w(v) has N[u] within N[v]."""
-    wv = g.weight(v)
-    adj, w, nbs = g._adj, g._w, g._nbs
-    nbrs = adj[v]
+    w, nbs = g._w, g._nbs
+    wv = w[v]
+    nbrs = nbs[v]
     closed = None
     dv = len(nbrs)
     for u in nbrs:
-        if w[u] < wv or len(adj[u]) > dv:
+        if w[u] < wv or len(nbs[u]) > dv:
             continue
         if closed is None:
-            closed = nbs[v] | {v}
+            closed = nbrs | {v}
         if nbs[u] <= closed:
             log.record(ExcludedVertex(v))
             g.remove_vertex(v)
@@ -172,44 +173,38 @@ def domination(g, v, log, changed=None):
 
 
 def twin_merge(g, v, log, changed=None):
-    """Merge a non-adjacent vertex with the exact same neighborhood into v."""
-    wv = g.weight(v)
-    adj, w, nbs = g._adj, g._w, g._nbs
-    nbrs = adj[v]
+    """Merge the lowest-id vertex with exactly v's neighborhood into v."""
+    w, nbs = g._w, g._nbs
     nv = nbs[v]
-    dv = len(nbrs)
-    if nbrs:
-        # any neighbor sees every twin of v, so anchor on the cheapest one;
-        # its sorted list still yields the lowest-id twin first
-        anchor = nbrs[0]
-        da = len(adj[anchor])
-        if da > 1:
-            for t in nbrs:
-                dt = len(adj[t])
-                if dt < da:
-                    anchor, da = t, dt
-                    if da == 1:
-                        break
-        candidates = adj[anchor]
-    else:
-        candidates = [u for u in g.active_vertices() if not adj[u]]
-    for u in candidates:
-        if u != v and len(adj[u]) == dv and nbs[u] == nv:
-            log.record(TwinMerge(kept=v, absorbed=u))
-            g.set_weight(v, wv + w[u])
-            g.remove_vertex(u)
-            if changed is not None:
-                changed.add(v)
-                changed.update(nbrs)
-            return True
-    return False
+    dv = len(nv)
+    candidates = w  # an isolated v: every vertex
+    if nv:
+        # any neighbor sees every twin of v, so anchor on the cheapest one
+        da = None
+        for t in nv:
+            dt = len(nbs[t])
+            if da is None or dt < da:
+                candidates, da = nbs[t], dt
+                if da == 1:
+                    break
+    u = min((u for u in candidates
+             if u != v and len(nbs[u]) == dv and nbs[u] == nv), default=None)
+    if u is None:
+        return False
+    log.record(TwinMerge(kept=v, absorbed=u))
+    w[v] += w[u]
+    g.remove_vertex(u)
+    if changed is not None:
+        changed.add(v)
+        changed.update(nv)
+    return True
 
 
 def clique_neighborhood_removal(g, v, log, changed=None):
     """Include v when it outweighs a greedy clique cover of its neighborhood."""
-    wv = g.weight(v)
     w, nbs = g._w, g._nbs
-    nbrs = g._adj[v]
+    wv = w[v]
+    nbrs = nbs[v]
     for u in nbrs:
         # the heaviest neighbor opens the first clique, so any neighbor
         # heavier than v already sinks the bound; skip the sort
@@ -239,7 +234,8 @@ def clique_neighborhood_removal(g, v, log, changed=None):
 def _struction_cap(g, v, cfg, plateau):
     if cfg.variant in ("original", "modified"):
         return 1 if plateau else 0
-    return g.degree(v) + 1 if plateau else g.degree(v)
+    d = len(g._nbs[v])
+    return d + 1 if plateau else d
 
 
 def _must_exceed_cap(g, v, cfg, cap):
@@ -255,13 +251,14 @@ def _must_exceed_cap(g, v, cfg, cap):
 
 
 def _center_is_minimal(g, v):
-    wv = g.weight(v)
-    return all(g.weight(u) >= wv for u in g.neighbors(v))
+    w = g._w
+    wv = w[v]
+    return all(w[u] >= wv for u in g._nbs[v])
 
 
 def decreasing_struction(g, v, cfg, log, changed=None):
     """Apply the configured variant only if it strictly shrinks the graph."""
-    if g.degree(v) > cfg.d_max:
+    if len(g._nbs[v]) > cfg.d_max:
         return False
     if cfg.variant in ("original", "modified") and not _center_is_minimal(g, v):
         return False
@@ -278,7 +275,7 @@ def plateau_struction(g, v, cfg, log, exclusion=None, changed=None):
     A failed attempt records v's fingerprint in the exclusion map; the rule
     stays off for v until its weight or neighborhood changes.
     """
-    if g.degree(v) > cfg.d_max:
+    if len(g._nbs[v]) > cfg.d_max:
         return False
     if cfg.variant in ("original", "modified") and not _center_is_minimal(g, v):
         return False
@@ -364,7 +361,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
             if v not in w:
                 continue
             if w[v] == 0:
-                nbrs = set(g._adj[v])
+                nbrs = g._nbs[v]
                 log.record(ExcludedVertex(v))
                 g.remove_vertex(v)
                 stats["zero_weight"] = stats.get("zero_weight", 0) + 1
@@ -413,20 +410,19 @@ def _mark_removal(g, P, single, enqueue):
       the two were twins before).  If N(v) meets P, u neighbors a vertex
       of P and is a far vertex of v's degree; otherwise N(v) misses P.
     """
-    adj = g._adj
+    nbs = g._nbs
     far = set()
     for p in P:
-        far.update(adj[p])
+        far.update(nbs[p])
     far -= P
     enqueue(far, _DOM | _TWIN)
     if not single:
         enqueue(P, _ALL)
         return
-    nbs = g._nbs
-    far_degrees = {len(adj[y]) for y in far}
+    far_degrees = {len(nbs[y]) for y in far}
     no_twin, twin = [], []
     for p in P:
-        if len(adj[p]) in far_degrees or nbs[p].isdisjoint(P):
+        if len(nbs[p]) in far_degrees or nbs[p].isdisjoint(P):
             twin.append(p)
         else:
             no_twin.append(p)
@@ -435,10 +431,10 @@ def _mark_removal(g, P, single, enqueue):
 
 
 def _with_neighbors(g, changed):
-    adj = g._adj
+    nbs = g._nbs
     out = set(changed)
     for x in changed:
-        out.update(adj[x])
+        out.update(nbs[x])
     return out
 
 

@@ -5,12 +5,13 @@ again, split into connected components, otherwise branch on the vertex of
 maximum degree (ties: maximum weight, then minimum id) with the include case
 first.  The first bound test skips the re-reduction of a node that cannot
 beat the incumbent; it needs an incumbent, so a component's root is always
-reduced.
+reduced.  The second test is skipped when it would repeat the first.
 
     Solve(G, c, W):
         if W is set and c + UpperBound(G) <= W:  return W
         (G, c) <- Reduce(G, c)
         if W is unset:          W <- c + local_search(G)
+        elif Reduce left G as it was:  skip the next test
         if c + UpperBound(G) <= W:  return W
         if V(G) is empty:       return max(W, c)
         if G is disconnected:   c <- c + sum Solve(G_i, 0, unset)
@@ -116,10 +117,6 @@ def upper_bound(g):
     return sum(levels)
 
 
-def _solution_weight(g, sol):
-    return sum(g.weight(v) for v in sol)
-
-
 def _improve(g, sol):
     """Alternate weighted swaps until neither improves the solution.
 
@@ -128,28 +125,28 @@ def _improve(g, sol):
     otherwise and together outweigh u.
     Each swap strictly increases the weight, so this terminates.
     """
+    w, nbs = g._w, g._nbs
     improved = True
     while improved:
         improved = False
         for v in g.active_vertices():
             if v in sol:
                 continue
-            conflicts = [u for u in g.neighbors(v) if u in sol]
-            if g.weight(v) > sum(g.weight(u) for u in conflicts):
+            conflicts = nbs[v] & sol
+            if w[v] > sum(w[u] for u in conflicts):
                 sol.difference_update(conflicts)
                 sol.add(v)
                 improved = True
         for u in sorted(sol):
             if u not in sol:
                 continue
-            free = [x for x in g.neighbors(u)
-                    if x not in sol
-                    and all(t == u or t not in sol for t in g.neighbors(x))]
+            # x is free when u is its only neighbor in the solution
+            free = [x for x in sorted(nbs[u])
+                    if x not in sol and len(nbs[x] & sol) == 1]
             done = False
             for i, x1 in enumerate(free):
                 for x2 in free[i + 1:]:
-                    if (not g.is_adjacent(x1, x2)
-                            and g.weight(x1) + g.weight(x2) > g.weight(u)):
+                    if x2 not in nbs[x1] and w[x1] + w[x2] > w[u]:
                         sol.discard(u)
                         sol.add(x1)
                         sol.add(x2)
@@ -164,31 +161,32 @@ def _improve(g, sol):
 def local_search(g, budget=64, seed=0x5EED):
     """Greedy maximal solution plus swap-based improvement with seeded
     perturbation restarts.  Returns (weight, independent set): a lower bound."""
+    w, nbs = g._w, g._nbs
     ids = g.active_vertices()
     if not ids:
         return 0, set()
-    order = sorted(ids, key=lambda v: (-(g.weight(v) / (g.degree(v) + 1)), v))
+    order = sorted(ids, key=lambda v: (-(w[v] / (len(nbs[v]) + 1)), v))
     sol = set()
     blocked = set()
     for v in order:
         if v not in blocked:
             sol.add(v)
             blocked.add(v)
-            blocked.update(g.neighbors(v))
+            blocked.update(nbs[v])
     _improve(g, sol)
     best = set(sol)
-    best_w = _solution_weight(g, sol)
+    best_w = sum(w[v] for v in sol)
     rng = SplitMix64(seed)
     for _ in range(budget):
         v = ids[rng.randint(0, len(ids) - 1)]
         if v in sol:
             continue
-        sol.difference_update(g.neighbors(v))
+        sol.difference_update(nbs[v])
         sol.add(v)
         _improve(g, sol)
-        w = _solution_weight(g, sol)
-        if w > best_w:
-            best_w, best = w, set(sol)
+        sol_w = sum(w[v] for v in sol)
+        if sol_w > best_w:
+            best_w, best = sol_w, set(sol)
         else:
             sol = set(best)
     return best_w, best
@@ -270,7 +268,7 @@ def components(g):
         stack = [v]
         while stack:
             x = stack.pop()
-            for u in g._adj[x]:
+            for u in g._nbs[x]:
                 if u not in seen:
                     seen.add(u)
                     comp.append(u)
@@ -317,15 +315,20 @@ def _search(G, log, sh, inc, seed_ls, depth):
         sh.stats["max_depth"] = depth
     # the bound is far cheaper than a re-reduction; a component's first
     # node has no incumbent yet and must produce one
-    if inc.solution is not None and log.offset + upper_bound(G) <= inc.W:
+    checked = inc.solution is not None
+    if checked and log.offset + upper_bound(G) <= inc.W:
         return
+    before = len(log)
     _reduce_into(G, sh.reduce_cfg, log, sh.stats)
     c = log.offset
     if seed_ls:
         lw, lset = local_search(G, sh.ls_budget)
         inc.offer(c + lw, log, lset)
     n, _m = G.counts()
-    if c + (upper_bound(G) if n else 0) <= inc.W:
+    # a reduction that recorded nothing left the graph, the offset and the
+    # incumbent as the entry check saw them, so the check cannot prune now
+    if (not (checked and len(log) == before)
+            and c + (upper_bound(G) if n else 0) <= inc.W):
         return
     if n == 0:
         inc.offer(c, log, set())
@@ -344,16 +347,16 @@ def _search(G, log, sh, inc, seed_ls, depth):
     v = _branch_vertex(G)
     mark = len(log)
     g1 = G.copy()
-    nbrs = g1.neighbors(v)
-    log.record(IncludedVertex(v, g1.weight(v)))
-    for u in [v] + nbrs:
+    log.record(IncludedVertex(v, G._w[v]))
+    g1.remove_vertex(v)
+    for u in G._nbs[v]:
         g1.remove_vertex(u)
     _search(g1, log, sh, inc, False, depth + 1)
     log.truncate(mark)
-    g2 = G.copy()
+    # nothing reads G after the branch, so the exclude child takes it over
     log.record(ExcludedVertex(v))
-    g2.remove_vertex(v)
-    _search(g2, log, sh, inc, False, depth + 1)
+    G.remove_vertex(v)
+    _search(G, log, sh, inc, False, depth + 1)
     log.truncate(mark)
 
 

@@ -123,7 +123,7 @@ def count_small_exceeding_sets(g, v, stop_above=None):
     """
     w, nbs = g._w, g._nbs
     wv = w[v]
-    nbrs = g._adj[v]
+    nbrs = list(nbs[v])
     if stop_above is None:
         stop_above = len(nbrs) * (len(nbrs) + 1) // 2
     count = 0
@@ -143,56 +143,57 @@ def count_small_exceeding_sets(g, v, stop_above=None):
     return count
 
 
-def _require_minimal(g, v, wv, nbrs):
+def _require_minimal(w, v, wv, nbrs):
     for u in nbrs:
-        if g.weight(u) < wv:
+        if w[u] < wv:
             raise NotMinimal(
                 f"center {v} (weight {wv}) is heavier than neighbor {u}")
 
 
-def _nonadjacent_pairs(nbrs, pre_adj):
+def _nonadjacent_pairs(nbrs, pre_nbs):
     pairs = []
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
-            if y not in pre_adj[x]:
+            if y not in pre_nbs[x]:
                 pairs.append((x, y))
     return pairs
 
 
 def _cleanup_zero_neighbors(g, nbrs, log, changed=None):
     for u in nbrs:
-        if g.is_active(u) and g.weight(u) == 0:
+        if g._w.get(u) == 0:
             if changed is not None:
-                changed.update(g.neighbors(u))
+                changed.update(g._nbs[u])
             log.record(ExcludedVertex(u))
             g.remove_vertex(u)
 
 
 def _pair_struction(g, v, cap, log, modified, changed=None):
-    wv = g.weight(v)
-    nbrs = g.neighbors(v)
-    _require_minimal(g, v, wv, nbrs)
-    pre_adj = {u: set(g.neighbors(u)) for u in nbrs}
-    pairs = _nonadjacent_pairs(nbrs, pre_adj)
+    w, nbs = g._w, g._nbs
+    wv = w[v]
+    nbrs = sorted(nbs[v])
+    _require_minimal(w, v, wv, nbrs)
+    pre_nbs = {u: set(nbs[u]) for u in nbrs}
+    pairs = _nonadjacent_pairs(nbrs, pre_nbs)
     if len(pairs) > cap:
         return Aborted("cap")
-    orig_w = {u: g.weight(u) for u in nbrs}
+    orig_w = {u: w[u] for u in nbrs}
 
     # plan every edge target against the pre-transformation graph
     plans = []
     for x, y in pairs:
-        targets = (pre_adj[x] | pre_adj[y]) - {v}
+        targets = (pre_nbs[x] | pre_nbs[y]) - {v}
         if modified:
             targets.update(k for k in nbrs if k != x)
         plans.append(sorted(targets))
 
     g.remove_vertex(v)
     for u in nbrs:
-        g.set_weight(u, orig_w[u] - wv)
+        w[u] = orig_w[u] - wv
     if modified:
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
-                if b not in pre_adj[a]:
+                if b not in pre_nbs[a]:
                     g.add_edge(a, b)
 
     created = []
@@ -208,7 +209,7 @@ def _pair_struction(g, v, cap, log, modified, changed=None):
     # adjacent in the pre-transformation graph
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
-            if pairs[i][0] != pairs[j][0] or pairs[j][1] in pre_adj[pairs[i][1]]:
+            if pairs[i][0] != pairs[j][0] or pairs[j][1] in pre_nbs[pairs[i][1]]:
                 g.add_edge(ids[i], ids[j])
 
     event = Struction("modified" if modified else "original", v, wv,
@@ -235,8 +236,8 @@ def modified_struction(g, v, cap, log, changed=None):
 
 def extended_struction(g, v, cap, log, node_budget=None, changed=None):
     """Remove N[v]; encode every independent neighbor set outweighing v."""
-    wv = g.weight(v)
-    nbrs = g.neighbors(v)
+    wv = g._w[v]
+    nbrs = sorted(g._nbs[v])
     sets = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=False,
                                     node_budget=node_budget)
     if isinstance(sets, Aborted):
@@ -248,18 +249,18 @@ def extended_struction(g, v, cap, log, node_budget=None, changed=None):
 
 def extended_reduced_struction(g, v, cap, log, node_budget=None, changed=None):
     """As extended, but only minimal exceeding sets plus extension vertices."""
-    wv = g.weight(v)
-    nbrs = g.neighbors(v)
+    nbs = g._nbs
+    wv = g._w[v]
+    nbrs = sorted(nbs[v])
     minimal = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=True,
                                        node_budget=node_budget)
     if isinstance(minimal, Aborted):
         return minimal
-    adj = {u: set(g.neighbors(u)) for u in nbrs}
     extensions = []
     for ci, ns in enumerate(minimal):
         cset = set(ns.members)
         for y in nbrs:
-            if y not in cset and not any(y in adj[u] for u in ns.members):
+            if y not in cset and not any(y in nbs[u] for u in ns.members):
                 extensions.append((ci, y))
     if len(minimal) + len(extensions) > cap:
         return Aborted("cap")
@@ -271,8 +272,9 @@ def extended_reduced_struction(g, v, cap, log, node_budget=None, changed=None):
 def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
                                  extensions, changed=None):
     closed = set(nbrs) | {v}
-    orig_w = {u: g.weight(u) for u in nbrs}
-    adj = {u: set(g.neighbors(u)) for u in nbrs}
+    orig_w = {u: g._w[u] for u in nbrs}
+    # snapshots: removing N[v] below edits the sets of its members
+    adj = {u: set(g._nbs[u]) for u in nbrs}
 
     core_plans = []
     for ns in core_sets:

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,21 +70,28 @@ def test_new_graph_rejects_zero_weights():
 
 
 def test_copy_is_independent(c4a):
+    before = copy.deepcopy(c4a)
     h = c4a.copy()
     assert h == c4a
     h.remove_vertex(0)
+    h.add_edge(1, 3)
+    h.set_weight(2, 7)
     assert h != c4a
-    assert c4a.is_active(0)
+    assert c4a == before
 
 
 def test_subgraph_preserves_ids_and_next_id(c4a):
+    before = copy.deepcopy(c4a)
     sub = c4a.subgraph([0, 1, 2])
     assert sub.active_vertices() == [0, 1, 2]
     assert sub.counts() == (3, 2)
     assert sub.next_id == c4a.next_id
     assert not sub.is_adjacent(0, 2)
-    # original untouched
-    assert c4a.counts() == (4, 4)
+    sub.remove_vertex(1)
+    sub.add_edge(0, 2)
+    sub.set_weight(0, 9)
+    # original untouched, neighbor sets included
+    assert c4a == before
 
 
 edges_strategy = st.lists(

@@ -102,6 +102,11 @@ def test_twin_merge_degree_zero():
     log = TransformLog()
     assert twin_merge(g2, 0, log)
     assert g2.weight(0) == 3
+    # several isolated twins: the lowest id is absorbed
+    g3 = mwis.new_graph(4, [1, 1, 1, 1])
+    log = TransformLog()
+    assert twin_merge(g3, 3, log)
+    assert log.events == [TwinMerge(kept=3, absorbed=0)]
 
 
 def test_twin_merge_requires_identical_neighborhoods(c4a):
