@@ -88,8 +88,10 @@ class BlowupState:
 def blow_up(K, state, cfg, log):
     """Apply one increasing struction to the irreducible graph K.  Returns
     (CHANGED, center, seeds), where seeds is the dirty region the follow-up
-    reduction must revisit, or (NO_CANDIDATE, None, None)."""
+    reduction must revisit (the graph's change record and its neighbors),
+    or (NO_CANDIDATE, None, None)."""
     nbs = K._nbs
+    K.take_changed()
     while True:
         best = None
         for v in K.active_vertices():
@@ -111,9 +113,8 @@ def blow_up(K, state, cfg, log):
         _key, v, b = best
         tight_cap = math.ceil(cfg.beta * b) - 1
         cap = min(tight_cap, cfg.n_max)
-        changed = set()
         try:
-            out = VARIANT_OPS[cfg.variant](K, v, cap, log, changed=changed)
+            out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
             state.excluded[v] = neighborhood_fingerprint(K, v)
             state.bounds.pop(v, None)
@@ -129,7 +130,7 @@ def blow_up(K, state, cfg, log):
                 state.bounds[v] = max(math.ceil(cfg.beta * b), b + 1)
             continue
         state.bounds.pop(v, None)
-        live = [x for x in changed if x in K._w]
+        live = [x for x in K.take_changed() if x in K._w]
         return CHANGED, v, _with_neighbors(K, live)
 
 

@@ -124,9 +124,17 @@ def _solve_cmd(args):
 
 
 def _gen_cmd(args):
+    if args.n < 0:
+        raise _UsageError(f"--n must be >= 0, got {args.n}")
+    if args.wmin < 1:
+        raise _UsageError(f"--wmin must be >= 1, got {args.wmin}")
+    if args.wmin > args.wmax:
+        raise _UsageError(f"--wmin {args.wmin} exceeds --wmax {args.wmax}")
     if args.kind == "gnp":
         if args.p is None:
             raise _UsageError("--p is required for --type gnp")
+        if not 0 <= args.p <= 1:
+            raise _UsageError(f"--p must lie in [0, 1], got {args.p}")
         g = random_gnp_graph(args.n, args.p, args.seed, args.wmin, args.wmax)
     else:
         g = random_path_graph(args.n, args.seed, args.wmin, args.wmax,

@@ -10,6 +10,11 @@ tests and the subset checks the reduction rules lean on.  Set iteration
 order depends on insertion history, so code whose output depends on an
 order sorts explicitly; neighbors() is the sorted view for callers outside
 the package.
+
+The rules, blow-up and search read the maps _w and _nbs directly, but
+every write goes through the four mutators, which add each vertex they
+create, reweight or give a new neighbor set to one change record; the
+reduction queue re-tests the region around it after each transformation.
 """
 
 
@@ -36,13 +41,14 @@ class DuplicateEdge(GraphError):
 class DynGraph:
     """Mutable weighted graph supporting removal and fresh-vertex creation."""
 
-    __slots__ = ("_w", "_nbs", "_m", "_next_id")
+    __slots__ = ("_w", "_nbs", "_m", "_next_id", "_changed")
 
     def __init__(self):
         self._w = {}      # active vertex id -> weight
         self._nbs = {}    # active vertex id -> set of neighbor ids
         self._m = 0       # number of edges
         self._next_id = 0
+        self._changed = set()  # vertices touched since the last take_changed
 
     # -- construction ------------------------------------------------------
 
@@ -54,6 +60,7 @@ class DynGraph:
         self._next_id += 1
         self._w[v] = w
         self._nbs[v] = set()
+        self._changed.add(v)
         return v
 
     def add_edge(self, u, v):
@@ -66,6 +73,8 @@ class DynGraph:
         self._nbs[u].add(v)
         self._nbs[v].add(u)
         self._m += 1
+        self._changed.add(u)
+        self._changed.add(v)
 
     def remove_vertex(self, v):
         """Deactivate v and strip it from all neighbor sets."""
@@ -76,6 +85,7 @@ class DynGraph:
             nbs[u].discard(v)
         self._m -= len(nv)
         del self._w[v]
+        self._changed.update(nv)
 
     # -- queries -----------------------------------------------------------
 
@@ -105,6 +115,13 @@ class DynGraph:
         if w < 0:
             raise InvalidWeight(f"weight must be non-negative, got {w}")
         self._w[v] = w
+        self._changed.add(v)
+
+    def take_changed(self):
+        """Return the change record, which may name vertices removed since,
+        and start a new one."""
+        out, self._changed = self._changed, set()
+        return out
 
     def active_vertices(self):
         return sorted(self._w)
@@ -120,7 +137,7 @@ class DynGraph:
     def subgraph(self, vertices):
         """Induced subgraph on the given vertices, ids and next_id preserved."""
         keep = set(vertices)
-        g = DynGraph.__new__(DynGraph)
+        g = DynGraph()
         g._w = {v: self._w[v] for v in keep}
         g._nbs = {v: self._nbs[v] & keep for v in keep}
         g._m = sum(len(nbrs) for nbrs in g._nbs.values()) // 2
@@ -130,7 +147,7 @@ class DynGraph:
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self):
-        g = DynGraph.__new__(DynGraph)
+        g = DynGraph()
         g._w = dict(self._w)
         g._nbs = {v: set(nbrs) for v, nbrs in self._nbs.items()}
         g._m = self._m

@@ -7,9 +7,10 @@ Rules are attempted in a fixed order from cheapest to most expensive:
 
 A dirty-vertex queue drives the fixpoint: every vertex starts dirty with
 every rule marked, and a popped vertex is tested against its marked rules in
-order.  Whenever a rule fires, the vertices whose weight or neighborhood may
-have changed, plus their neighbors, are re-enqueued.  Each one is marked
-with the cheap rules that could have started to apply there, and no others:
+order.  Whenever a rule fires, the vertices in the graph's change record
+(created, reweighted or given a new neighborhood), plus their neighbors,
+are re-enqueued.  Each one is marked with the cheap rules that could have
+started to apply there, and no others:
 after a removal that changes no weight, the neighbors of the survivors that
 lost a neighbor re-test only domination and twin, and after a single-vertex
 removal those survivors skip domination, and skip twin unless a new twin is
@@ -66,29 +67,25 @@ def neighborhood_fingerprint(g, v):
 
 
 # -- the six simple rules ----------------------------------------------------
-# Each returns True when it fired and False when it does not apply at v.
-# When the caller hands in a `changed` set, a firing rule records every
-# vertex whose weight or adjacency it altered (created ids included), so the
-# pipeline re-examines exactly the affected part of the graph.
+# Each returns True when it fired and False, leaving the graph untouched,
+# when it does not apply at v.
 #
 # These run hundreds of thousands of times per blow-up cycle, so they read
 # the graph's maps _w and _nbs directly instead of going through the checked
-# public accessors.  A borrowed neighbor set stays valid through the
-# removals below: remove_vertex only edits the sets of the removed vertex's
-# neighbors, and a removed vertex's set is never mutated afterwards, since
-# no remaining vertex neighbors it.
+# public accessors.  Every write goes through the DynGraph mutators, whose
+# change record tells the pipeline which vertices a firing touched.  A
+# borrowed neighbor set stays valid through the removals below:
+# remove_vertex only edits the sets of the removed vertex's neighbors, and
+# a removed vertex's set is never mutated afterwards, since no remaining
+# vertex neighbors it.
 
-def _remove_closed(g, v, nbrs, changed):
-    if changed is not None:
-        nbs = g._nbs
-        for u in nbrs:
-            changed.update(nbs[u])
+def _remove_closed(g, v, nbrs):
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
 
 
-def neighborhood_removal(g, v, log, changed=None):
+def neighborhood_removal(g, v, log):
     """Include v when it outweighs its whole neighborhood."""
     w = g._w
     wv = w[v]
@@ -99,11 +96,11 @@ def neighborhood_removal(g, v, log, changed=None):
         if total > wv:
             return False
     log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs, changed)
+    _remove_closed(g, v, nbrs)
     return True
 
 
-def degree_two_fold(g, v, log, changed=None):
+def degree_two_fold(g, v, log):
     """Fold a degree-2 vertex whose neighbors are non-adjacent.
 
     Applies when max(w(u), w(x)) <= w(v) < w(u) + w(x); the triple is
@@ -128,13 +125,10 @@ def degree_two_fold(g, v, log, changed=None):
     for t in sorted(targets):
         g.add_edge(folded, t)
     log.record(DegreeTwoFold(v, u, x, folded, wv))
-    if changed is not None:
-        changed.update(targets)
-        changed.add(folded)
     return True
 
 
-def clique_reduction(g, v, log, changed=None):
+def clique_reduction(g, v, log):
     """Include v when N(v) is a clique and v carries its maximum weight."""
     w, nbs = g._w, g._nbs
     wv = w[v]
@@ -147,11 +141,11 @@ def clique_reduction(g, v, log, changed=None):
         if len(nbs[a] & nbrs) < others:
             return False
     log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs, changed)
+    _remove_closed(g, v, nbrs)
     return True
 
 
-def domination(g, v, log, changed=None):
+def domination(g, v, log):
     """Exclude v when some neighbor u with w(u) >= w(v) has N[u] within N[v]."""
     w, nbs = g._w, g._nbs
     wv = w[v]
@@ -166,13 +160,11 @@ def domination(g, v, log, changed=None):
         if nbs[u] <= closed:
             log.record(ExcludedVertex(v))
             g.remove_vertex(v)
-            if changed is not None:
-                changed.update(nbrs)
             return True
     return False
 
 
-def twin_merge(g, v, log, changed=None):
+def twin_merge(g, v, log):
     """Merge the lowest-id vertex with exactly v's neighborhood into v."""
     w, nbs = g._w, g._nbs
     nv = nbs[v]
@@ -192,15 +184,12 @@ def twin_merge(g, v, log, changed=None):
     if u is None:
         return False
     log.record(TwinMerge(kept=v, absorbed=u))
-    w[v] += w[u]
+    g.set_weight(v, w[v] + w[u])
     g.remove_vertex(u)
-    if changed is not None:
-        changed.add(v)
-        changed.update(nv)
     return True
 
 
-def clique_neighborhood_removal(g, v, log, changed=None):
+def clique_neighborhood_removal(g, v, log):
     """Include v when it outweighs a greedy clique cover of its neighborhood."""
     w, nbs = g._w, g._nbs
     wv = w[v]
@@ -225,7 +214,7 @@ def clique_neighborhood_removal(g, v, log, changed=None):
             if bound > wv:
                 return False
     log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs, changed)
+    _remove_closed(g, v, nbrs)
     return True
 
 
@@ -256,7 +245,7 @@ def _center_is_minimal(g, v):
     return all(w[u] >= wv for u in g._nbs[v])
 
 
-def decreasing_struction(g, v, cfg, log, changed=None):
+def decreasing_struction(g, v, cfg, log):
     """Apply the configured variant only if it strictly shrinks the graph."""
     if len(g._nbs[v]) > cfg.d_max:
         return False
@@ -265,11 +254,11 @@ def decreasing_struction(g, v, cfg, log, changed=None):
     cap = _struction_cap(g, v, cfg, False)
     if _must_exceed_cap(g, v, cfg, cap):
         return False
-    out = VARIANT_OPS[cfg.variant](g, v, cap, log, changed=changed)
+    out = VARIANT_OPS[cfg.variant](g, v, cap, log)
     return not isinstance(out, Aborted)
 
 
-def plateau_struction(g, v, cfg, log, exclusion=None, changed=None):
+def plateau_struction(g, v, cfg, log, exclusion):
     """Apply the variant allowing one extra created vertex (net change zero).
 
     A failed attempt records v's fingerprint in the exclusion map; the rule
@@ -280,13 +269,13 @@ def plateau_struction(g, v, cfg, log, exclusion=None, changed=None):
     if cfg.variant in ("original", "modified") and not _center_is_minimal(g, v):
         return False
     fp = neighborhood_fingerprint(g, v)
-    if exclusion is not None and exclusion.get(v) == fp:
+    if exclusion.get(v) == fp:
         return False
     cap = _struction_cap(g, v, cfg, True)
     applied = (not _must_exceed_cap(g, v, cfg, cap)
-               and not isinstance(VARIANT_OPS[cfg.variant](
-                   g, v, cap, log, changed=changed), Aborted))
-    if not applied and exclusion is not None:
+               and not isinstance(VARIANT_OPS[cfg.variant](g, v, cap, log),
+                                  Aborted))
+    if not applied:
         exclusion[v] = fp
     return applied
 
@@ -324,6 +313,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     budget = 4 * g.counts()[0]
     exclusion = {}
     w = g._w
+    g.take_changed()  # what happened before this call is covered by seeds
 
     if seeds is None:
         seeds = g.active_vertices()
@@ -345,8 +335,9 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
                 exp_q.add(x)
                 heapq.heappush(exp_heap, x)
 
-    def fire(rule, changed):
+    def fire(rule):
         stats[rule] = stats.get(rule, 0) + 1
+        changed = g.take_changed()
         if rule == "domination":
             _mark_removal(g, changed, True, enqueue)
         elif rule in _CLOSED_REMOVALS:
@@ -361,36 +352,32 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
             if v not in w:
                 continue
             if w[v] == 0:
-                nbrs = g._nbs[v]
                 log.record(ExcludedVertex(v))
                 g.remove_vertex(v)
                 stats["zero_weight"] = stats.get("zero_weight", 0) + 1
-                _mark_removal(g, nbrs, True, enqueue)
+                _mark_removal(g, g.take_changed(), True, enqueue)
                 continue
-            changed = set()
             for rule, bit in cheap:
-                if mask & bit and _SIMPLE_RULES[rule](g, v, log, changed):
-                    fire(rule, changed)
+                if mask & bit and _SIMPLE_RULES[rule](g, v, log):
+                    fire(rule)
                     break
             continue
         v = heapq.heappop(exp_heap)
         exp_q.discard(v)
         if v not in w:
             continue
-        changed = set()
         for rule in expensive:
             if rule == "decreasing_struction":
-                applied = decreasing_struction(g, v, cfg, log, changed)
+                applied = decreasing_struction(g, v, cfg, log)
             else:
                 if budget <= 0:
                     applied = False
                 else:
-                    applied = plateau_struction(g, v, cfg, log, exclusion,
-                                                changed)
+                    applied = plateau_struction(g, v, cfg, log, exclusion)
                     if applied:
                         budget -= 1
             if applied:
-                fire(rule, changed)
+                fire(rule)
                 break
 
 

@@ -38,6 +38,8 @@ from .translog import (ExcludedVertex, IncludedVertex, TransformLog, lift,
 
 OPTIMAL = "optimal"
 TIME_LIMIT = "timelimit"
+LS_BUDGET = 64      # local-search perturbation rounds
+LS_SEED = 0x5EED    # seed of the perturbation choices
 
 
 class SizeLimit(Exception):
@@ -52,7 +54,6 @@ class _Timeout(Exception):
 class SolverConfig:
     mode: str = PRESET_NONINCREASING   # preprocessing preset
     time_limit: float | None = None    # seconds; None means unlimited
-    ls_budget: int = 64                # local-search perturbation rounds
 
 
 @dataclass
@@ -158,7 +159,7 @@ def _improve(g, sol):
     return sol
 
 
-def local_search(g, budget=64, seed=0x5EED):
+def local_search(g, budget=LS_BUDGET):
     """Greedy maximal solution plus swap-based improvement with seeded
     perturbation restarts.  Returns (weight, independent set): a lower bound."""
     w, nbs = g._w, g._nbs
@@ -176,7 +177,7 @@ def local_search(g, budget=64, seed=0x5EED):
     _improve(g, sol)
     best = set(sol)
     best_w = sum(w[v] for v in sol)
-    rng = SplitMix64(seed)
+    rng = SplitMix64(LS_SEED)
     for _ in range(budget):
         v = ids[rng.randint(0, len(ids) - 1)]
         if v in sol:
@@ -285,10 +286,9 @@ def _branch_vertex(g):
 # -- the search -------------------------------------------------------------------
 
 class _Shared:
-    def __init__(self, deadline, reduce_cfg, ls_budget, stats):
+    def __init__(self, deadline, reduce_cfg, stats):
         self.deadline = deadline
         self.reduce_cfg = reduce_cfg
-        self.ls_budget = ls_budget
         self.stats = stats
 
     def check_time(self):
@@ -305,7 +305,7 @@ class _Incumbent:
 
     def offer(self, cand, log, kernel_set):
         if cand > self.W or self.solution is None:
-            self.W = max(self.W, cand)
+            self.W = cand
             self.solution = lift(log, kernel_set)
 
 
@@ -322,7 +322,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     _reduce_into(G, sh.reduce_cfg, log, sh.stats)
     c = log.offset
     if seed_ls:
-        lw, lset = local_search(G, sh.ls_budget)
+        lw, lset = local_search(G)
         inc.offer(c + lw, log, lset)
     n, _m = G.counts()
     # a reduction that recorded nothing left the graph, the offset and the
@@ -386,7 +386,7 @@ def solve(g, cfg=None):
     in_recursion_cfg = ReduceConfig(
         rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"),
         variant=bc.variant, d_max=bc.d_max)
-    sh = _Shared(deadline, in_recursion_cfg, cfg.ls_budget, stats)
+    sh = _Shared(deadline, in_recursion_cfg, stats)
     inc = _Incumbent()
     status = OPTIMAL
     try:
@@ -397,10 +397,9 @@ def solve(g, cfg=None):
             # never got past the first deadline check, so K and the log are
             # still the preprocessing result: lift a local-search solution
             # of the kernel
-            sol = lift(log, local_search(K, cfg.ls_budget)[1])
+            sol = lift(log, local_search(K)[1])
             inc.W = sum(g.weight(v) for v in sol)
             inc.solution = sol
-    solution = inc.solution if inc.solution is not None else set()
-    if not verify_lift(g, solution, inc.W):
+    if not verify_lift(g, inc.solution, inc.W):
         raise AssertionError(f"{status} solution failed lift verification")
-    return SolveResult(inc.W, solution, status, stats)
+    return SolveResult(inc.W, inc.solution, status, stats)

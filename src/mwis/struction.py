@@ -14,7 +14,7 @@ extended-reduced: only the minimal ones plus single-vertex extensions).
 
 All operations are transactional: they either complete, append one
 Struction event to the log and return it, or return Aborted leaving the
-graph untouched.
+graph and its change record untouched.
 Aborts happen when the construction would create more than `cap` vertices,
 or when the set enumeration exceeds its internal node budget.
 """
@@ -159,16 +159,14 @@ def _nonadjacent_pairs(nbrs, pre_nbs):
     return pairs
 
 
-def _cleanup_zero_neighbors(g, nbrs, log, changed=None):
+def _cleanup_zero_neighbors(g, nbrs, log):
     for u in nbrs:
         if g._w.get(u) == 0:
-            if changed is not None:
-                changed.update(g._nbs[u])
             log.record(ExcludedVertex(u))
             g.remove_vertex(u)
 
 
-def _pair_struction(g, v, cap, log, modified, changed=None):
+def _pair_struction(g, v, cap, log, modified):
     w, nbs = g._w, g._nbs
     wv = w[v]
     nbrs = sorted(nbs[v])
@@ -189,7 +187,7 @@ def _pair_struction(g, v, cap, log, modified, changed=None):
 
     g.remove_vertex(v)
     for u in nbrs:
-        w[u] = orig_w[u] - wv
+        g.set_weight(u, orig_w[u] - wv)
     if modified:
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
@@ -215,45 +213,38 @@ def _pair_struction(g, v, cap, log, modified, changed=None):
     event = Struction("modified" if modified else "original", v, wv,
                       tuple(nbrs), ((v, wv),), tuple(created))
     log.record(event)
-    if changed is not None:
-        changed.update(nbrs)
-        changed.update(ids)
-        for targets in plans:
-            changed.update(targets)
-    _cleanup_zero_neighbors(g, nbrs, log, changed)
+    _cleanup_zero_neighbors(g, nbrs, log)
     return event
 
 
-def original_struction(g, v, cap, log, changed=None):
+def original_struction(g, v, cap, log):
     """Remove v, lower N(v) by w(v), encode non-adjacent neighbor pairs."""
-    return _pair_struction(g, v, cap, log, modified=False, changed=changed)
+    return _pair_struction(g, v, cap, log, modified=False)
 
 
-def modified_struction(g, v, cap, log, changed=None):
+def modified_struction(g, v, cap, log):
     """As original, but pair vertices weigh w(y) and N(v) becomes a clique."""
-    return _pair_struction(g, v, cap, log, modified=True, changed=changed)
+    return _pair_struction(g, v, cap, log, modified=True)
 
 
-def extended_struction(g, v, cap, log, node_budget=None, changed=None):
+def extended_struction(g, v, cap, log):
     """Remove N[v]; encode every independent neighbor set outweighing v."""
     wv = g._w[v]
     nbrs = sorted(g._nbs[v])
-    sets = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=False,
-                                    node_budget=node_budget)
+    sets = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=False)
     if isinstance(sets, Aborted):
         return sets
     return _replace_closed_neighborhood(
         g, v, wv, nbrs, log, "extended",
-        core_sets=sets, extensions=(), changed=changed)
+        core_sets=sets, extensions=())
 
 
-def extended_reduced_struction(g, v, cap, log, node_budget=None, changed=None):
+def extended_reduced_struction(g, v, cap, log):
     """As extended, but only minimal exceeding sets plus extension vertices."""
     nbs = g._nbs
     wv = g._w[v]
     nbrs = sorted(nbs[v])
-    minimal = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=True,
-                                       node_budget=node_budget)
+    minimal = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=True)
     if isinstance(minimal, Aborted):
         return minimal
     extensions = []
@@ -266,11 +257,11 @@ def extended_reduced_struction(g, v, cap, log, node_budget=None, changed=None):
         return Aborted("cap")
     return _replace_closed_neighborhood(
         g, v, wv, nbrs, log, "extended_reduced",
-        core_sets=minimal, extensions=extensions, changed=changed)
+        core_sets=minimal, extensions=extensions)
 
 
 def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
-                                 extensions, changed=None):
+                                 extensions):
     closed = set(nbrs) | {v}
     orig_w = {u: g._w[u] for u in nbrs}
     # snapshots: removing N[v] below edits the sets of its members
@@ -329,11 +320,6 @@ def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
 
     event = Struction(variant, v, wv, tuple(nbrs), removed, tuple(created))
     log.record(event)
-    if changed is not None:
-        for u in nbrs:
-            changed.update(adj[u] - closed)
-        changed.update(core_ids)
-        changed.update(ext_ids)
     return event
 
 

@@ -1,0 +1,174 @@
+"""DynGraph's change record names exactly what a transformation changed.
+
+The reduction queue and the blow-up re-test only the region around the
+record, so a write that bypasses the four mutators would leave rules
+untested.  Every simple rule, both struction rules under all four variants
+and every variant called directly are attempted at each vertex of seeded
+random graphs.  After a firing, the record's live vertices must be exactly
+those that are new, reweighted or hold a different neighbor set than in a
+copy taken before; an attempt that does not fire must leave the graph
+equal to the copy and the record empty.
+"""
+
+import random
+
+import pytest
+
+from mwis import (BlowupConfig, BlowupState, DuplicateEdge, DynGraph,
+                  ReduceConfig, blow_up)
+from mwis.blowup import CHANGED
+from mwis.reductions import (_SIMPLE_RULES, decreasing_struction,
+                             plateau_struction)
+from mwis.struction import VARIANT_OPS, Aborted, NotMinimal
+from mwis.translog import TransformLog
+
+from reference import random_graph
+
+VARIANTS = ("original", "modified", "extended", "extended_reduced")
+MIN_FIRINGS = 100
+
+
+def _diff(before, after):
+    """Vertices of `after` that are new, reweighted or have a different
+    neighbor set than in `before`."""
+    return {v for v in after.active_vertices()
+            if not before.is_active(v)
+            or before.weight(v) != after.weight(v)
+            or before.neighbors(v) != after.neighbors(v)}
+
+
+def _graphs(seed, count):
+    """Random graphs with a planted twin and planted degree-2 vertices whose
+    two neighbors are non-adjacent and weigh enough for a fold."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(5, 14)
+        wmax = rnd.choice((3, 9))
+        g = random_graph(rnd, n, rnd.choice((0.15, 0.3, 0.5)), wmax=wmax)
+        twin = g.add_vertex(rnd.randint(1, wmax))
+        for x in g.neighbors(rnd.randrange(n)):
+            g.add_edge(twin, x)
+        for _ in range(rnd.randint(1, 3)):
+            u, x = rnd.sample(range(n), 2)
+            if not g.is_adjacent(u, x):
+                wu, wx = g.weight(u), g.weight(x)
+                v = g.add_vertex(rnd.randint(max(wu, wx), wu + wx - 1))
+                g.add_edge(v, u)
+                g.add_edge(v, x)
+        yield g
+
+
+def _simple(rule):
+    def attempt(g, v, log, rnd, exclusion):
+        return _SIMPLE_RULES[rule](g, v, log)
+    return attempt
+
+
+def _decreasing(variant):
+    cfg = ReduceConfig(variant=variant, d_max=16)
+
+    def attempt(g, v, log, rnd, exclusion):
+        return decreasing_struction(g, v, cfg, log)
+    return attempt
+
+
+def _plateau(variant):
+    cfg = ReduceConfig(variant=variant, d_max=16)
+
+    def attempt(g, v, log, rnd, exclusion):
+        return plateau_struction(g, v, cfg, log, exclusion)
+    return attempt
+
+
+def _direct(variant):
+    def attempt(g, v, log, rnd, exclusion):
+        cap = rnd.choice((0, 1, len(g._nbs[v]) + 1, 16))
+        try:
+            out = VARIANT_OPS[variant](g, v, cap, log)
+        except NotMinimal:
+            return False
+        return not isinstance(out, Aborted)
+    return attempt
+
+
+KINDS = {f"rule:{r}": _simple(r) for r in _SIMPLE_RULES}
+KINDS.update((f"decreasing:{v}", _decreasing(v)) for v in VARIANTS)
+KINDS.update((f"plateau:{v}", _plateau(v)) for v in VARIANTS)
+KINDS.update((f"direct:{v}", _direct(v)) for v in VARIANTS)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_record_is_exactly_what_a_firing_changed(kind):
+    attempt = KINDS[kind]
+    rnd = random.Random(kind)
+    fired = 0
+    for g in _graphs(0xC4A, 120):
+        g.take_changed()
+        log = TransformLog()
+        exclusion = {}
+        # one pass over the starting vertices, on the evolving graph, so
+        # later attempts see what earlier firings built
+        for v in g.active_vertices():
+            if not g.is_active(v):
+                continue
+            before = g.copy()
+            if attempt(g, v, log, rnd, exclusion):
+                fired += 1
+                live = {x for x in g.take_changed() if g.is_active(x)}
+                assert live == _diff(before, g), (kind, v)
+            else:
+                assert g == before, (kind, v)
+                assert g.take_changed() == set(), (kind, v)
+    assert fired >= MIN_FIRINGS, fired
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blow_up_seeds_are_the_change_and_its_neighbors(variant):
+    cfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
+    phases = 0
+    for g in _graphs(0xB10, 40):
+        state = BlowupState()
+        for _phase in range(4):
+            before = g.copy()
+            status, _center, seeds = blow_up(g, state, cfg, TransformLog())
+            if status != CHANGED:
+                assert g == before
+                break
+            phases += 1
+            changed = _diff(before, g)
+            want = changed.union(*(g.neighbors(x) for x in changed))
+            assert set(seeds) == want
+            assert g.take_changed() == set()
+    assert phases >= MIN_FIRINGS, phases
+
+
+def test_each_mutator_records_what_it_touches():
+    g = DynGraph()
+    a, b, c = g.add_vertex(1), g.add_vertex(2), g.add_vertex(3)
+    assert g.take_changed() == {a, b, c}
+    assert g.take_changed() == set()
+    g.add_edge(a, b)
+    assert g.take_changed() == {a, b}
+    g.set_weight(c, 5)
+    assert g.take_changed() == {c}
+    g.add_edge(b, c)
+    g.take_changed()
+    g.remove_vertex(b)  # its neighbors get new sets; b itself is gone
+    assert g.take_changed() == {a, c}
+    # reads and refused writes record nothing
+    g.add_edge(a, c)
+    g.take_changed()
+    g.neighbors(a), g.weight(c), g.degree(a), g.is_adjacent(a, c)
+    with pytest.raises(DuplicateEdge):
+        g.add_edge(c, a)
+    assert g.take_changed() == set()
+
+
+def test_copies_start_with_an_empty_record_and_equality_ignores_it():
+    g = DynGraph()
+    a, b = g.add_vertex(1), g.add_vertex(1)
+    g.add_edge(a, b)
+    h, s = g.copy(), g.subgraph([a, b])
+    assert h.take_changed() == set() and s.take_changed() == set()
+    assert g == h == s
+    assert g.take_changed() == {a, b}

@@ -44,6 +44,23 @@ def test_gen_gnp_requires_p(tmp_path, capsys):
     assert "--p is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--n", "-3"], "--n must be >= 0"),
+    (["--wmin", "0", "--wmax", "0"], "--wmin must be >= 1"),
+    (["--wmin", "5", "--wmax", "1"], "--wmin 5 exceeds --wmax 1"),
+    (["--p", "1.5"], "--p must lie in [0, 1]"),
+])
+def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, bad, message):
+    out = tmp_path / "x.graph"
+    argv = ["gen", "--n", "5", "--p", "0.5", "--seed", "1", "--out", str(out)]
+    rc = main(argv + bad)
+    assert rc == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert not out.exists()
+
+
 def test_solve_writes_solution_and_stats(tmp_path, p3a_file, capsys):
     sol = str(tmp_path / "p3a.sol")
     stats = str(tmp_path / "p3a.stats")

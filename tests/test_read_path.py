@@ -13,7 +13,7 @@ import mwis
 
 MODULES = ("reductions.py", "struction.py", "blowup.py", "solver.py")
 ACCESSORS = frozenset(("weight", "degree", "neighbors", "is_adjacent",
-                       "is_active", "set_weight"))
+                       "is_active"))
 BOUNDARY = frozenset(("solve", "brute_force_mwis"))
 
 

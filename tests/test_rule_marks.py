@@ -28,12 +28,14 @@ RULE_SETS = (RULE_ORDER, tuple(r for r in RULE_ORDER if r != "plateau_struction"
 
 def _reduce_all_rules(g, cfg, log, stats, seeds=None):
     """The queue before per-rule marks: every popped vertex is tested with
-    every cheap rule, and every firing re-queues changed + N(changed)."""
+    every cheap rule, and every firing re-queues the graph's change record
+    and its neighbors."""
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [r for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
     budget = 4 * g.counts()[0]
     exclusion = {}
+    g.take_changed()
 
     if seeds is None:
         seeds = g.active_vertices()
@@ -52,9 +54,9 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
                 exp_q.add(x)
                 heapq.heappush(exp_heap, x)
 
-    def fire(rule, changed):
+    def fire(rule):
         stats[rule] = stats.get(rule, 0) + 1
-        live = [x for x in changed if g.is_active(x)]
+        live = [x for x in g.take_changed() if g.is_active(x)]
         enqueue(_with_neighbors(g, live))
 
     while cheap_heap or exp_heap:
@@ -64,34 +66,31 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
             if not g.is_active(v):
                 continue
             if g.weight(v) == 0:
-                nbrs = g.neighbors(v)
                 log.record(ExcludedVertex(v))
                 g.remove_vertex(v)
                 stats["zero_weight"] = stats.get("zero_weight", 0) + 1
-                enqueue(_with_neighbors(g, nbrs))
+                enqueue(_with_neighbors(g, g.take_changed()))
                 continue
-            changed = set()
             for rule in cheap:
-                if _SIMPLE_RULES[rule](g, v, log, changed):
-                    fire(rule, changed)
+                if _SIMPLE_RULES[rule](g, v, log):
+                    fire(rule)
                     break
             continue
         v = heapq.heappop(exp_heap)
         exp_q.discard(v)
         if not g.is_active(v):
             continue
-        changed = set()
         for rule in expensive:
             if rule == "decreasing_struction":
-                applied = decreasing_struction(g, v, cfg, log, changed)
+                applied = decreasing_struction(g, v, cfg, log)
             elif budget <= 0:
                 applied = False
             else:
-                applied = plateau_struction(g, v, cfg, log, exclusion, changed)
+                applied = plateau_struction(g, v, cfg, log, exclusion)
                 if applied:
                     budget -= 1
             if applied:
-                fire(rule, changed)
+                fire(rule)
                 break
 
 

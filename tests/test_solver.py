@@ -216,8 +216,7 @@ def test_solve_over_components_with_zero_weight_parts(monkeypatch):
     assert len(searched) >= 8
 
     # a component that weighs nothing is still solved, not pruned unsolved
-    sh = solver._Shared(None, ReduceConfig(), 64,
-                        {"branches": 0, "max_depth": 0})
+    sh = solver._Shared(None, ReduceConfig(), {"branches": 0, "max_depth": 0})
     assert real(zero, sh) == (0, set())
 
 

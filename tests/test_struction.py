@@ -139,12 +139,14 @@ def test_abort_leaves_graph_untouched(c4a):
 
 
 def test_budget_abort_is_transactional():
-    g = mwis.new_graph(10, [1] * 9 + [100])
-    for u in range(9):
-        g.add_edge(u, 9)
+    # 16 independent leaves of weight 1 around a centre of weight 100: no
+    # set exceeds the centre, and the 2^16 subsets pass the default node
+    # budget of max(8192, 16 * (cap + 1)) before the cap is ever reached
+    g = mwis.new_graph(17, [1] * 16 + [100])
+    for u in range(16):
+        g.add_edge(u, 16)
     snap = g.copy()
-    out = extended_struction(g, 9, cap=10**9, log=TransformLog(),
-                             node_budget=3)
+    out = extended_struction(g, 16, cap=10, log=TransformLog())
     assert isinstance(out, Aborted) and out.reason == "budget"
     assert g == snap
 
