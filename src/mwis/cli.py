@@ -9,6 +9,7 @@ file, 3 time limit hit (a best-effort solution was still written).
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -84,6 +85,13 @@ def build_parser():
 
 
 def _reduce_cmd(args):
+    for flag, value in (("--nmax", args.nmax), ("--dmax", args.dmax),
+                        ("--unsucc", args.unsucc)):
+        if value is not None and value < 0:
+            raise _UsageError(f"{flag} must be >= 0, got {value}")
+    if args.beta is not None and not 0 < args.beta < math.inf:
+        raise _UsageError(
+            f"--beta must be positive and finite, got {args.beta}")
     g = parse_graph(args.infile)
     t0 = time.monotonic()
     kres = preprocess(g, args.mode, X=args.unsucc, n_max=args.nmax,

@@ -15,6 +15,9 @@ The rules, blow-up and search read the maps _w and _nbs directly, but
 every write goes through the four mutators, which add each vertex they
 create, reweight or give a new neighbor set to one change record; the
 reduction queue re-tests the region around it after each transformation.
+add_vertex takes the new vertex's neighbors, so a transformation builds
+each vertex it creates, edges included, in one call.  new_graph, the
+parser and the generators return graphs whose record is empty.
 """
 
 
@@ -52,15 +55,28 @@ class DynGraph:
 
     # -- construction ------------------------------------------------------
 
-    def add_vertex(self, w):
-        """Create an isolated vertex with weight w >= 0 and return its id."""
+    def add_vertex(self, w, nbrs=()):
+        """Create a vertex of weight w >= 0 joined to each of the distinct
+        active vertices in nbrs and return its id; a refused call writes
+        nothing."""
         if w < 0:
             raise InvalidWeight(f"weight must be non-negative, got {w}")
+        nbs = self._nbs
+        own = set(nbrs)
+        if not own <= nbs.keys():
+            raise InactiveVertex(
+                f"vertex {min(own - nbs.keys())} is not active")
+        if len(own) != len(nbrs):
+            raise DuplicateEdge(f"repeated neighbor in {list(nbrs)}")
         v = self._next_id
         self._next_id += 1
         self._w[v] = w
-        self._nbs[v] = set()
+        nbs[v] = own
+        for u in own:
+            nbs[u].add(v)
+        self._m += len(own)
         self._changed.add(v)
+        self._changed.update(own)
         return v
 
     def add_edge(self, u, v):
@@ -177,4 +193,5 @@ def new_graph(n, weights):
         if w < 1:
             raise InvalidWeight(f"input weights must be >= 1, got {w}")
         g.add_vertex(w)
+    g.take_changed()
     return g

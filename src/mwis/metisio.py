@@ -20,7 +20,7 @@ statistics as flat key=value lines.
 import base64
 import json
 
-from .graph import new_graph
+from .graph import DynGraph
 from .translog import to_bytes
 
 
@@ -87,11 +87,10 @@ def parse_graph(path):
         raise ParseError(f"line {lines_of[0] if body else lineno}: header "
                          f"announces {m} edges, file lists {edges}")
 
-    g = new_graph(n, weights)
+    g = DynGraph()
     for i in range(n):
-        for j in sorted(adj[i]):
-            if i < j:
-                g.add_edge(i, j)
+        g.add_vertex(weights[i], sorted(j for j in adj[i] if j < i))
+    g.take_changed()
     return g
 
 

@@ -118,12 +118,10 @@ def degree_two_fold(g, v, log):
     if not (max(wu, wx) <= wv < wu + wx):
         return False
     targets = (nbs[u] | nbs[x]) - {v, u, x}
+    folded = g.add_vertex(wu + wx - wv, sorted(targets))
     g.remove_vertex(v)
     g.remove_vertex(u)
     g.remove_vertex(x)
-    folded = g.add_vertex(wu + wx - wv)
-    for t in sorted(targets):
-        g.add_edge(folded, t)
     log.record(DegreeTwoFold(v, u, x, folded, wv))
     return True
 

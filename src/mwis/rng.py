@@ -72,6 +72,7 @@ def random_gnp_graph(n, p, seed, wmin=1, wmax=200):
         for j in range(i + 1, n):
             if rng.next_u64() < threshold:
                 g.add_edge(i, j)
+    g.take_changed()
     return g
 
 
@@ -86,4 +87,5 @@ def random_path_graph(n, seed, wmin=1, wmax=200, cycle=False):
         g.add_edge(i, i + 1)
     if cycle and n > 2:
         g.add_edge(0, n - 1)
+    g.take_changed()
     return g

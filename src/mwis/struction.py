@@ -16,7 +16,10 @@ All operations are transactional: they either complete, append one
 Struction event to the log and return it, or return Aborted leaving the
 graph and its change record untouched.
 Aborts happen when the construction would create more than `cap` vertices,
-or when the set enumeration exceeds its internal node budget.
+or when the set enumeration exceeds its internal node budget, both before
+the first write.  Each new vertex is then built, edges and all, in one
+add_vertex call that reads the live graph before any old vertex is removed
+or reweighted, so nothing is copied first.
 """
 
 from dataclasses import dataclass
@@ -150,11 +153,11 @@ def _require_minimal(w, v, wv, nbrs):
                 f"center {v} (weight {wv}) is heavier than neighbor {u}")
 
 
-def _nonadjacent_pairs(nbrs, pre_nbs):
+def _nonadjacent_pairs(nbrs, nbs):
     pairs = []
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
-            if y not in pre_nbs[x]:
+            if y not in nbs[x]:
                 pairs.append((x, y))
     return pairs
 
@@ -171,44 +174,36 @@ def _pair_struction(g, v, cap, log, modified):
     wv = w[v]
     nbrs = sorted(nbs[v])
     _require_minimal(w, v, wv, nbrs)
-    pre_nbs = {u: set(nbs[u]) for u in nbrs}
-    pairs = _nonadjacent_pairs(nbrs, pre_nbs)
+    pairs = _nonadjacent_pairs(nbrs, nbs)
     if len(pairs) > cap:
         return Aborted("cap")
-    orig_w = {u: w[u] for u in nbrs}
 
-    # plan every edge target against the pre-transformation graph
+    # pair vertices join the sets of N(v), so every target list is taken
+    # before the first of them is created
     plans = []
     for x, y in pairs:
-        targets = (pre_nbs[x] | pre_nbs[y]) - {v}
+        targets = (nbs[x] | nbs[y]) - {v}
         if modified:
             targets.update(k for k in nbrs if k != x)
         plans.append(sorted(targets))
 
+    # a pair vertex conflicts with the earlier ones from another first
+    # member, or whose second member is adjacent to its own
+    created = []
+    for i, ((x, y), targets) in enumerate(zip(pairs, plans)):
+        targets += [created[j][0] for j in range(i)
+                    if pairs[j][0] != x or pairs[j][1] in nbs[y]]
+        w_new = w[y] if modified else wv
+        created.append((g.add_vertex(w_new, targets), w_new, Pair(x, y)))
+
     g.remove_vertex(v)
     for u in nbrs:
-        g.set_weight(u, orig_w[u] - wv)
+        g.set_weight(u, w[u] - wv)
     if modified:
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
-                if b not in pre_nbs[a]:
+                if b not in nbs[a]:
                     g.add_edge(a, b)
-
-    created = []
-    ids = []
-    for (x, y), targets in zip(pairs, plans):
-        w_new = orig_w[y] if modified else wv
-        nid = g.add_vertex(w_new)
-        ids.append(nid)
-        created.append((nid, w_new, Pair(x, y)))
-        for t in targets:
-            g.add_edge(nid, t)
-    # among created: adjacent when layers differ or the second members were
-    # adjacent in the pre-transformation graph
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0] != pairs[j][0] or pairs[j][1] in pre_nbs[pairs[i][1]]:
-                g.add_edge(ids[i], ids[j])
 
     event = Struction("modified" if modified else "original", v, wv,
                       tuple(nbrs), ((v, wv),), tuple(created))
@@ -262,61 +257,39 @@ def extended_reduced_struction(g, v, cap, log):
 
 def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
                                  extensions):
-    closed = set(nbrs) | {v}
-    orig_w = {u: g._w[u] for u in nbrs}
-    # snapshots: removing N[v] below edits the sets of its members
-    adj = {u: set(g._nbs[u]) for u in nbrs}
+    w, nbs = g._w, g._nbs
+    closed = {v, *nbrs}
+    removed = ((v, wv),) + tuple((u, w[u]) for u in nbrs)
 
-    core_plans = []
+    # no new vertex touches N[v], so its sets read the same until it is
+    # removed below.  Encoding vertices form a clique; an extension vertex
+    # conflicts with everything built from a different set, and with
+    # same-set extensions whose added members are adjacent
+    created = []
+    core_ids = []
     for ns in core_sets:
         outside = set()
         for u in ns.members:
-            outside.update(adj[u])
-        core_plans.append(sorted(outside - closed))
-    ext_plans = []
-    for ci, y in extensions:
-        outside = set(adj[y])
+            outside.update(nbs[u])
+        nid = g.add_vertex(ns.weight - wv, sorted(outside - closed) + core_ids)
+        core_ids.append(nid)
+        created.append((nid, ns.weight - wv, VertexSet(ns.members)))
+    ext_ids = []
+    for i, (ci, y) in enumerate(extensions):
+        outside = set(nbs[y])
         for u in core_sets[ci].members:
-            outside.update(adj[u])
-        ext_plans.append(sorted(outside - closed))
+            outside.update(nbs[u])
+        targets = sorted(outside - closed)
+        targets += [cid for j, cid in enumerate(core_ids) if j != ci]
+        targets += [ext_ids[k] for k, (cj, y2) in enumerate(extensions[:i])
+                    if ci != cj or y2 in nbs[y]]
+        nid = g.add_vertex(w[y], targets)
+        ext_ids.append(nid)
+        created.append((nid, w[y], VertexSetPlus(core_sets[ci].members, y)))
 
-    removed = tuple((u, orig_w[u] if u != v else wv)
-                    for u in [v] + nbrs)
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
-
-    created = []
-    core_ids = []
-    for ns, targets in zip(core_sets, core_plans):
-        nid = g.add_vertex(ns.weight - wv)
-        core_ids.append(nid)
-        created.append((nid, ns.weight - wv, VertexSet(ns.members)))
-        for t in targets:
-            g.add_edge(nid, t)
-    ext_ids = []
-    for (ci, y), targets in zip(extensions, ext_plans):
-        nid = g.add_vertex(orig_w[y])
-        ext_ids.append(nid)
-        created.append((nid, orig_w[y],
-                        VertexSetPlus(core_sets[ci].members, y)))
-        for t in targets:
-            g.add_edge(nid, t)
-
-    # encoding vertices form a clique; an extension vertex conflicts with
-    # everything built from a different set, and with same-set extensions
-    # whose added members were adjacent
-    for i in range(len(core_ids)):
-        for j in range(i + 1, len(core_ids)):
-            g.add_edge(core_ids[i], core_ids[j])
-    for i, (ci, y) in enumerate(extensions):
-        for j, cid in enumerate(core_ids):
-            if j != ci:
-                g.add_edge(cid, ext_ids[i])
-        for k in range(i + 1, len(extensions)):
-            cj, y2 = extensions[k]
-            if ci != cj or y2 in adj[y]:
-                g.add_edge(ext_ids[i], ext_ids[k])
 
     event = Struction(variant, v, wv, tuple(nbrs), removed, tuple(created))
     log.record(event)

@@ -15,8 +15,10 @@ import random
 import pytest
 
 from mwis import (BlowupConfig, BlowupState, DuplicateEdge, DynGraph,
-                  ReduceConfig, blow_up)
+                  GraphError, ReduceConfig, blow_up, new_graph,
+                  random_gnp_graph, random_path_graph)
 from mwis.blowup import CHANGED
+from mwis.metisio import parse_graph, write_graph
 from mwis.reductions import (_SIMPLE_RULES, decreasing_struction,
                              plateau_struction)
 from mwis.struction import VARIANT_OPS, Aborted, NotMinimal
@@ -162,6 +164,30 @@ def test_each_mutator_records_what_it_touches():
     with pytest.raises(DuplicateEdge):
         g.add_edge(c, a)
     assert g.take_changed() == set()
+
+
+def test_add_vertex_records_the_vertex_and_its_neighbors():
+    g = DynGraph()
+    a, b, c = g.add_vertex(1), g.add_vertex(2), g.add_vertex(3)
+    g.take_changed()
+    v = g.add_vertex(4, [c, a])
+    assert g.take_changed() == {v, a, c}
+    g.remove_vertex(b)
+    g.take_changed()
+    for w, nbrs in ((1, [a, a]), (1, [a, b]), (-1, [a])):
+        with pytest.raises(GraphError):
+            g.add_vertex(w, nbrs)
+        assert g.take_changed() == set()
+
+
+def test_fresh_graphs_start_with_an_empty_record(tmp_path):
+    path = tmp_path / "g.graph"
+    write_graph(random_gnp_graph(30, 0.2, 1), path)
+    for g in (parse_graph(path), new_graph(3, [1, 2, 3]),
+              random_gnp_graph(30, 0.2, 1),
+              random_path_graph(10, 1, cycle=True)):
+        assert g.counts()[0] > 0
+        assert g.take_changed() == set()
 
 
 def test_copies_start_with_an_empty_record_and_equality_ignores_it():

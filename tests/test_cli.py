@@ -61,6 +61,28 @@ def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, bad, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--beta", "0"], "--beta must be positive and finite"),
+    (["--beta", "-2"], "--beta must be positive and finite"),
+    (["--beta", "nan"], "--beta must be positive and finite"),
+    (["--beta", "inf"], "--beta must be positive and finite"),
+    (["--nmax", "-1"], "--nmax must be >= 0"),
+    (["--dmax", "-1"], "--dmax must be >= 0"),
+    (["--unsucc", "-1"], "--unsucc must be >= 0"),
+])
+def test_reduce_rejects_out_of_range_tuning_flags(tmp_path, p3a_file, capsys,
+                                                  bad, message):
+    out = tmp_path / "k.graph"
+    argv = ["reduce", "--in", p3a_file, "--out", str(out),
+            "--mode", "cyclic-fast"]
+    rc = main(argv + bad)
+    assert rc == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert not out.exists()
+
+
 def test_solve_writes_solution_and_stats(tmp_path, p3a_file, capsys):
     sol = str(tmp_path / "p3a.sol")
     stats = str(tmp_path / "p3a.stats")

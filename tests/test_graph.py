@@ -15,6 +15,30 @@ def test_add_vertex_ids_are_sequential():
     assert g.counts() == (2, 0)
 
 
+def test_add_vertex_with_neighbors(c4a):
+    n, m = c4a.counts()
+    v = c4a.add_vertex(4, [3, 0, 2])
+    assert c4a.counts() == (n + 1, m + 3)
+    assert c4a.neighbors(v) == [0, 2, 3]
+    for u in (0, 2, 3):
+        assert c4a.is_adjacent(u, v)
+    assert not c4a.is_adjacent(1, v)
+    assert c4a.add_vertex(1, []) == v + 1
+    assert c4a.neighbors(v + 1) == []
+
+
+def test_refused_add_vertex_writes_nothing(c4a):
+    c4a.remove_vertex(1)
+    before = c4a.copy()
+    for w, nbrs, error in ((1, [0, 2, 0], DuplicateEdge),
+                           (1, [0, 1], InactiveVertex),
+                           (-1, [0], InvalidWeight)):
+        with pytest.raises(error):
+            c4a.add_vertex(w, nbrs)
+        assert c4a == before
+        assert c4a.next_id == before.next_id
+
+
 def test_ids_never_reused_after_removal():
     g = mwis.new_graph(3, [1, 1, 1])
     g.remove_vertex(1)

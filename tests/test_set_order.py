@@ -8,8 +8,10 @@ explicitly; these graphs put such ids in play and check that it is.
 
 import mwis
 from mwis import TransformLog, degree_two_fold, twin_merge
-from mwis.struction import extended_reduced_struction, extended_struction
-from mwis.translog import DegreeTwoFold, Struction, TwinMerge, VertexSet
+from mwis.struction import (extended_reduced_struction, extended_struction,
+                            modified_struction, original_struction)
+from mwis.translog import (DegreeTwoFold, Pair, Struction, TwinMerge,
+                           VertexSet)
 
 
 def _center_with_neighbors_1_and_8():
@@ -70,3 +72,21 @@ def test_extended_reduced_struction_follows_ascending_neighbor_order():
     assert [u for u, _w in event.removed] == [0, 1, 8]
     assert [(nid, prov) for nid, _w, prov in event.created][:2] == [
         (10, VertexSet((1,))), (11, VertexSet((8,)))]
+
+
+def test_original_struction_follows_ascending_neighbor_order():
+    g = _center_with_neighbors_1_and_8()
+    event = original_struction(g, 0, 10, TransformLog())
+    assert event.neighbors == (1, 8)
+    assert event.created == ((10, 1, Pair(1, 8)),)
+    assert g.neighbors(10) == [4, 5]
+    assert g.weight(1) == g.weight(8) == 1
+
+
+def test_modified_struction_follows_ascending_neighbor_order():
+    g = _center_with_neighbors_1_and_8()
+    event = modified_struction(g, 0, 10, TransformLog())
+    assert event.neighbors == (1, 8)
+    assert event.created == ((10, 2, Pair(1, 8)),)
+    assert g.neighbors(10) == [4, 5, 8]
+    assert g.neighbors(1) == [5, 8]
