@@ -18,9 +18,10 @@ plain reduction.
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
 at most two.  A struction attempt is capped at min(ceil(beta*bound) - 1,
-n_max); a cap abort below n_max doubles the bound and retries later
-(tightness check), anything else excludes the vertex until its weight or
-neighborhood changes.
+n_max); a cap abort below n_max raises the bound to max(ceil(beta*bound),
+2*bound, bound + 1), which at least doubles it for every beta, and retries
+later (tightness check), so a centre is retried O(log(n_max / beta)) times;
+anything else excludes the vertex until its weight or neighborhood changes.
 """
 
 import math
@@ -126,8 +127,9 @@ def blow_up(K, state, cfg, log):
                 state.excluded[v] = neighborhood_fingerprint(K, v)
                 state.bounds.pop(v, None)
             else:
-                # tightness failure: retry later with a doubled bound
-                state.bounds[v] = max(math.ceil(cfg.beta * b), b + 1)
+                # tightness failure: retry later with a bound at least
+                # doubled, whatever beta is; b + 1 lifts the L = 0 bound
+                state.bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
             continue
         state.bounds.pop(v, None)
         live = [x for x in K.take_changed() if x in K._w]

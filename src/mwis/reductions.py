@@ -16,7 +16,9 @@ lost a neighbor re-test only domination and twin, and after a single-vertex
 removal those survivors skip domination, and skip twin unless a new twin is
 possible.  A rule is left unmarked only where it provably still fails, so
 the rules fire exactly as if every rule were re-tested; a blow-up clique is
-peeled without re-testing the whole clique for domination per peel.
+peeled without re-testing the whole clique for domination per peel, and
+each peel finds the survivors' outer neighbors in O(|V|) by scanning from
+the outside rather than uniting the survivors' neighbor sets.
 Vertices whose weight reaches zero are swept out first, recorded as
 ExcludedVertex.
 
@@ -383,6 +385,10 @@ def _mark_removal(g, P, single, enqueue):
     """Queue the region around vertices just removed with no weight change.
 
     P holds the surviving vertices that lost a neighbor, far = N(P) - P.
+    _outer_neighbors finds far by uniting the neighbor sets of P or, when
+    P is most of a blow-up clique, by scanning the vertices outside P;
+    adjacency is symmetric, so both give the same set and the masks below
+    do not depend on the side taken.
     A far vertex kept its neighborhood, the weights in it and the edges
     inside it, so of the cheap rules only domination and twin, which look
     one step further, can have started to apply there.  When a single
@@ -396,10 +402,7 @@ def _mark_removal(g, P, single, enqueue):
       of P and is a far vertex of v's degree; otherwise N(v) misses P.
     """
     nbs = g._nbs
-    far = set()
-    for p in P:
-        far.update(nbs[p])
-    far -= P
+    far = _outer_neighbors(g, P)
     enqueue(far, _DOM | _TWIN)
     if not single:
         enqueue(P, _ALL)
@@ -415,13 +418,35 @@ def _mark_removal(g, P, single, enqueue):
     enqueue(twin, _ALL & ~_DOM)
 
 
-def _with_neighbors(g, changed):
+def _outer_neighbors(g, S):
+    """N(S) - S for a set S of active vertices.
+
+    The union of the neighbor sets of S costs the sum of their degrees.
+    Once that sum passes _REVERSE_SCAN * |V|, keep instead each vertex
+    outside S whose neighbor set meets S: one isdisjoint test per vertex,
+    which stops at the first neighbor in S.
+    """
     nbs = g._nbs
-    out = set(changed)
-    for x in changed:
-        out.update(nbs[x])
+    budget = _REVERSE_SCAN * len(nbs)
+    for p in S:
+        budget -= len(nbs[p])
+        if budget < 0:
+            return {y for y in nbs.keys() - S if not nbs[y].isdisjoint(S)}
+    out = set()
+    for p in S:
+        out.update(nbs[p])
+    out -= S
     return out
 
+
+def _with_neighbors(g, changed):
+    S = set(changed)
+    return S | _outer_neighbors(g, S)
+
+
+# _outer_neighbors unites neighbor sets while the degrees of S sum to at
+# most this many times |V|; past that, one scan of the vertices is cheaper
+_REVERSE_SCAN = 2
 
 # the bit of each rule in a queued vertex's mask
 _BIT = {r: 1 << i for i, r in enumerate(RULE_ORDER)}

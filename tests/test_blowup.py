@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -7,6 +8,7 @@ import mwis
 from mwis import (BlowupConfig, BlowupState, TransformLog, blow_up,
                   cyclic_blow_up, lift, make_blowup_config,
                   neighborhood_fingerprint, preprocess, verify_lift)
+from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED, NO_CANDIDATE, estimate_L
 
 from reference import mwis_oracle, random_graph
@@ -101,6 +103,55 @@ def test_blow_up_tightness_retry_doubles_bound():
     assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
     assert log.offset == 1
+
+
+def _count_attempts(monkeypatch, limit):
+    """Record (center, cap) of every struction that blow_up attempts.  Past
+    `limit` attempts the test fails, so a retry loop cannot hang it."""
+    calls = []
+    op = blowup_mod.VARIANT_OPS["extended"]
+
+    def counted(K, v, cap, log):
+        calls.append((v, cap))
+        assert len(calls) <= limit, f"more than {limit} attempts: {calls[:8]}"
+        return op(K, v, cap, log)
+
+    monkeypatch.setitem(blowup_mod.VARIANT_OPS, "extended", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beta", (1.0, 0.5, 0.1))
+def test_blow_up_tightness_retry_doubles_bound_for_small_beta(monkeypatch,
+                                                              beta):
+    cfg = BlowupConfig(n_max=512, beta=beta)
+    # each retry at least doubles the bound, so the tight cap passes
+    # n_max within about log2(n_max) retries whatever beta is
+    calls = _count_attempts(monkeypatch, math.ceil(math.log2(cfg.n_max)) + 2)
+    g = _pair_bomb(5)
+    state = BlowupState()
+    for v in range(1, 6):
+        state.excluded[v] = neighborhood_fingerprint(g, v)
+    status, center, _ = blow_up(g, state, cfg, TransformLog())
+    assert status == CHANGED and center == 0
+    assert g.counts()[0] == 26
+    assert {v for v, _cap in calls} == {0}
+
+
+def test_blow_up_retries_a_zero_bound(monkeypatch):
+    """Center 0 (w10) with three independent neighbors of weight 4: no
+    exceeding set of size <= 2 (L = 0) but the triple exceeds.  The first
+    attempt runs at cap -1 and aborts; the retry runs at bound 1."""
+    calls = _count_attempts(monkeypatch, 8)
+    g = mwis.new_graph(4, [10, 4, 4, 4])
+    for u in (1, 2, 3):
+        g.add_edge(0, u)
+    assert estimate_L(g, 0) == 0
+    log = TransformLog()
+    status, center, _ = blow_up(g, BlowupState(), BlowupConfig(), log)
+    assert status == CHANGED and center == 0
+    assert calls == [(0, -1), (0, 1)]
+    assert g.counts() == (1, 0)
+    assert log.offset == 10
 
 
 def test_blow_up_nmax_abort_excludes_center():

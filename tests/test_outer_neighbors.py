@@ -1,0 +1,123 @@
+"""`_outer_neighbors(g, S)` is N(S) - S from either side.
+
+The reduction queue uses it to find the vertices two steps from a
+removal: by the forward union over S when S has few incident edges, and
+by a reverse scan of the vertices outside S otherwise.  Both sides must
+give the set the forward union gives, so that `_mark_removal` hands the
+queue the same vertices with the same rule masks whichever side it took.
+"""
+
+import random
+
+from mwis.reductions import (_DOM, _TWIN, _ALL, _REVERSE_SCAN,
+                             _mark_removal, _outer_neighbors, _with_neighbors)
+
+from reference import random_graph
+
+
+def _forward(g, S):
+    return set().union(*(g._nbs[p] for p in S)) - S
+
+
+def _reverse_side(g, S):
+    return sum(len(g._nbs[p]) for p in S) > _REVERSE_SCAN * len(g._nbs)
+
+
+def _mark_removal_forward(g, P, single, enqueue):
+    """The reference for _mark_removal: far from one set update per
+    vertex of P, the rest unchanged."""
+    nbs = g._nbs
+    far = set()
+    for p in P:
+        far.update(nbs[p])
+    far -= P
+    enqueue(far, _DOM | _TWIN)
+    if not single:
+        enqueue(P, _ALL)
+        return
+    far_degrees = {len(nbs[y]) for y in far}
+    no_twin, twin = [], []
+    for p in P:
+        if len(nbs[p]) in far_degrees or nbs[p].isdisjoint(P):
+            twin.append(p)
+        else:
+            no_twin.append(p)
+    enqueue(no_twin, _ALL & ~(_DOM | _TWIN))
+    enqueue(twin, _ALL & ~_DOM)
+
+
+def _marks(mark_removal, g, P, single):
+    """The vertex -> mask map a _mark_removal call queues."""
+    marks = {}
+
+    def enqueue(vs, mask):
+        for x in vs:
+            marks[x] = marks.get(x, 0) | mask
+
+    mark_removal(g, P, single, enqueue)
+    return marks
+
+
+def _planted_clique_graphs(seed, count):
+    """Sparse random graphs, most with a planted clique of up to 60
+    vertices whose members also keep some neighbors outside it: removing
+    one member leaves the kind of survivor set a blow-up peel leaves."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(20, 120)
+        g = random_graph(rnd, n, rnd.choice((0.02, 0.05, 0.1)))
+        if rnd.random() < 0.8:
+            k = rnd.randint(3, min(60, n))
+            clique = rnd.sample(range(n), k)
+            for i, a in enumerate(clique):
+                for b in clique[i + 1:]:
+                    if not g.is_adjacent(a, b):
+                        g.add_edge(a, b)
+        g.take_changed()
+        yield rnd, g
+
+
+def _removal_cases(rnd, g):
+    """(graph after the removal, survivors P) for one vertex removal,
+    one closed-neighborhood removal, and random subsets of the unchanged
+    graph."""
+    vs = g.active_vertices()
+    x = rnd.choice(vs)
+    h = g.copy()
+    P = set(h._nbs[x])
+    h.remove_vertex(x)
+    yield h, P
+
+    h = g.copy()
+    closed = h._nbs[x] | {x}
+    P = {y for u in closed for y in h._nbs[u]} - closed
+    for u in sorted(closed):
+        h.remove_vertex(u)
+    yield h, P
+
+    for size in (1, len(vs) // 4, len(vs) // 2, len(vs)):
+        yield g, set(rnd.sample(vs, size))
+
+
+def test_outer_neighbors_equals_the_forward_union_on_both_sides():
+    sides = {True: 0, False: 0}
+    for rnd, g in _planted_clique_graphs(0x2D, 160):
+        for h, S in _removal_cases(rnd, g):
+            assert _outer_neighbors(h, S) == _forward(h, S)
+            assert _with_neighbors(h, S) == S | _forward(h, S)
+            sides[_reverse_side(h, S)] += 1
+    # the equality means something only if both sides ran often
+    assert sides[True] >= 100
+    assert sides[False] >= 100
+
+
+def test_mark_removal_queues_the_forward_scan_marks():
+    sides = {True: 0, False: 0}
+    for rnd, g in _planted_clique_graphs(0x2E, 120):
+        for h, P in _removal_cases(rnd, g):
+            for single in (True, False):
+                got = _marks(_mark_removal, h, P, single)
+                assert got == _marks(_mark_removal_forward, h, P, single)
+                sides[_reverse_side(h, P)] += 1
+    assert sides[True] >= 100
+    assert sides[False] >= 100
