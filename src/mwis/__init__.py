@@ -16,11 +16,12 @@ from .struction import (Aborted, NotMinimal, VARIANT_OPS,
 from .reductions import (KernelResult, RULE_ORDER, ReduceConfig,
                          clique_neighborhood_removal, clique_reduction,
                          decreasing_struction, degree_two_fold, domination,
-                         neighborhood_fingerprint, neighborhood_removal,
-                         plateau_struction, reduce, twin_merge)
+                         neighborhood_removal, plateau_struction, reduce,
+                         twin_merge)
 from .blowup import (BlowupConfig, BlowupState, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
-                     cyclic_blow_up, make_blowup_config, preprocess)
+                     cyclic_blow_up, make_blowup_config,
+                     neighborhood_fingerprint, preprocess)
 from .solver import (OPTIMAL, SizeLimit, SolveResult, SolverConfig,
                      TIME_LIMIT, brute_force_mwis, components,
                      local_search, solve, upper_bound)

@@ -28,8 +28,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .reductions import (KernelResult, ReduceConfig, _reduce_into,
-                         _with_neighbors, neighborhood_fingerprint)
+from .reductions import (KernelResult, ReduceConfig, _outer_neighbors,
+                         _reduce_into)
 from .struction import (VARIANT_OPS, Aborted, NotMinimal,
                         count_small_exceeding_sets)
 from .translog import TransformLog
@@ -72,6 +72,12 @@ def make_blowup_config(mode, **overrides):
     fields = dict(PRESETS[mode])
     fields.update((k, v) for k, v in overrides.items() if v is not None)
     return BlowupConfig(**fields)
+
+
+def neighborhood_fingerprint(g, v):
+    """Weight-and-neighborhood snapshot used by the exclusion map."""
+    w = g._w
+    return (w[v], frozenset((u, w[u]) for u in g._nbs[v]))
 
 
 def estimate_L(g, v):
@@ -132,8 +138,8 @@ def blow_up(K, state, cfg, log):
                 state.bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
             continue
         state.bounds.pop(v, None)
-        live = [x for x in K.take_changed() if x in K._w]
-        return CHANGED, v, _with_neighbors(K, live)
+        live = {x for x in K.take_changed() if x in K._w}
+        return CHANGED, v, live | _outer_neighbors(K, live)
 
 
 def cyclic_blow_up(g, cfg=None, deadline=None):

@@ -13,11 +13,13 @@ the package.
 
 The rules, blow-up and search read the maps _w and _nbs directly, but
 every write goes through the four mutators, which add each vertex they
-create, reweight or give a new neighbor set to one change record; the
-reduction queue re-tests the region around it after each transformation.
-add_vertex takes the new vertex's neighbors, so a transformation builds
-each vertex it creates, edges included, in one call.  new_graph, the
-parser and the generators return graphs whose record is empty.
+create, reweight or give a new neighbor set to a change record, and those
+they create, reweight or give an edge by add_edge to its second part
+_touched; the reduction queue re-tests the region around it after each
+transformation.  add_vertex takes the new vertex's neighbors, so a
+transformation builds each vertex it creates, edges included, in one call.
+new_graph, the parser and the generators return graphs whose record is
+empty.
 """
 
 
@@ -44,14 +46,15 @@ class DuplicateEdge(GraphError):
 class DynGraph:
     """Mutable weighted graph supporting removal and fresh-vertex creation."""
 
-    __slots__ = ("_w", "_nbs", "_m", "_next_id", "_changed")
+    __slots__ = ("_w", "_nbs", "_m", "_next_id", "_changed", "_touched")
 
     def __init__(self):
         self._w = {}      # active vertex id -> weight
         self._nbs = {}    # active vertex id -> set of neighbor ids
         self._m = 0       # number of edges
         self._next_id = 0
-        self._changed = set()  # vertices touched since the last take_changed
+        self._changed = set()  # vertices changed since the last take_changed
+        self._touched = set()  # those created, reweighted or given an edge
 
     # -- construction ------------------------------------------------------
 
@@ -77,6 +80,7 @@ class DynGraph:
         self._m += len(own)
         self._changed.add(v)
         self._changed.update(own)
+        self._touched.add(v)
         return v
 
     def add_edge(self, u, v):
@@ -91,6 +95,7 @@ class DynGraph:
         self._m += 1
         self._changed.add(u)
         self._changed.add(v)
+        self._touched.update((u, v))
 
     def remove_vertex(self, v):
         """Deactivate v and strip it from all neighbor sets."""
@@ -132,11 +137,13 @@ class DynGraph:
             raise InvalidWeight(f"weight must be non-negative, got {w}")
         self._w[v] = w
         self._changed.add(v)
+        self._touched.add(v)
 
     def take_changed(self):
-        """Return the change record, which may name vertices removed since,
-        and start a new one."""
+        """Return the record's first part, which may name vertices removed
+        since, and start a new record; read _touched before this call."""
         out, self._changed = self._changed, set()
+        self._touched = set()
         return out
 
     def active_vertices(self):

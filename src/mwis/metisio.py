@@ -35,10 +35,19 @@ def _to_int(token, lineno, what):
         raise ParseError(f"line {lineno}: {what} {token!r} is not an integer") from None
 
 
+def _read_lines(path):
+    """The lines of an ASCII text file; any other byte is a ParseError."""
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("ascii", "surrogateescape").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise ParseError(f"line {lineno}: non-ASCII byte")
+    return lines
+
+
 def parse_graph(path):
     """Parse a weighted METIS file into a DynGraph with ids 0..n-1."""
-    with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     entries = [(i + 1, line) for i, line in enumerate(raw)
                if not line.lstrip().startswith("%")]
     if not entries:
@@ -143,20 +152,19 @@ def read_solution(path):
     """Returns (claimed weight, set of internal 0-indexed ids)."""
     weight = None
     ids = set()
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("%"):
-                tokens = line[1:].split()
-                if len(tokens) == 2 and tokens[0] == "weight":
-                    weight = _to_int(tokens[1], lineno, "weight")
-                continue
-            v = _to_int(line, lineno, "vertex id")
-            if v < 1:
-                raise ParseError(f"line {lineno}: vertex id {v} is below 1")
-            ids.add(v - 1)
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("%"):
+            tokens = line[1:].split()
+            if len(tokens) == 2 and tokens[0] == "weight":
+                weight = _to_int(tokens[1], lineno, "weight")
+            continue
+        v = _to_int(line, lineno, "vertex id")
+        if v < 1:
+            raise ParseError(f"line {lineno}: vertex id {v} is below 1")
+        ids.add(v - 1)
     if weight is None:
         raise ParseError("missing %weight header line")
     return weight, ids

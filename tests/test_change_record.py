@@ -6,8 +6,12 @@ untested.  Every simple rule, both struction rules under all four variants
 and every variant called directly are attempted at each vertex of seeded
 random graphs.  After a firing, the record's live vertices must be exactly
 those that are new, reweighted or hold a different neighbor set than in a
-copy taken before; an attempt that does not fire must leave the graph
-equal to the copy and the record empty.
+copy taken before, and its second part's live vertices exactly those that
+are new, reweighted or end a new edge between two old vertices; an attempt
+that does not fire must leave the graph equal to the copy and the record
+empty.  Every other vertex that is not next to the second part must keep
+its weighted closed neighborhood, which is what the reduction queue's
+marks rest on.
 """
 
 import random
@@ -39,6 +43,24 @@ def _diff(before, after):
             or before.neighbors(v) != after.neighbors(v)}
 
 
+def _touched(before, after):
+    """Vertices of `after` that are new, reweighted or end an edge that
+    `before` lacks between two of its vertices."""
+    return {v for v in after.active_vertices()
+            if not before.is_active(v)
+            or before.weight(v) != after.weight(v)
+            or any(before.is_active(u) and not before.is_adjacent(u, v)
+                   for u in after.neighbors(v))}
+
+
+def _closed_neighborhood(g, v):
+    """v's weighted G[N[v]]: its weight, its neighbors with their weights
+    and the edges among them."""
+    nbrs = set(g.neighbors(v))
+    return (g.weight(v), {(u, g.weight(u)) for u in nbrs},
+            {(a, b) for a in nbrs for b in g.neighbors(a) if b in nbrs})
+
+
 def _graphs(seed, count):
     """Random graphs with a planted twin and planted degree-2 vertices whose
     two neighbors are non-adjacent and weigh enough for a fold."""
@@ -61,7 +83,7 @@ def _graphs(seed, count):
 
 
 def _simple(rule):
-    def attempt(g, v, log, rnd, exclusion):
+    def attempt(g, v, log, rnd):
         return _SIMPLE_RULES[rule](g, v, log)
     return attempt
 
@@ -69,7 +91,7 @@ def _simple(rule):
 def _decreasing(variant):
     cfg = ReduceConfig(variant=variant, d_max=16)
 
-    def attempt(g, v, log, rnd, exclusion):
+    def attempt(g, v, log, rnd):
         return decreasing_struction(g, v, cfg, log)
     return attempt
 
@@ -77,13 +99,13 @@ def _decreasing(variant):
 def _plateau(variant):
     cfg = ReduceConfig(variant=variant, d_max=16)
 
-    def attempt(g, v, log, rnd, exclusion):
-        return plateau_struction(g, v, cfg, log, exclusion)
+    def attempt(g, v, log, rnd):
+        return plateau_struction(g, v, cfg, log)
     return attempt
 
 
 def _direct(variant):
-    def attempt(g, v, log, rnd, exclusion):
+    def attempt(g, v, log, rnd):
         cap = rnd.choice((0, 1, len(g._nbs[v]) + 1, 16))
         try:
             out = VARIANT_OPS[variant](g, v, cap, log)
@@ -99,29 +121,56 @@ KINDS.update((f"plateau:{v}", _plateau(v)) for v in VARIANTS)
 KINDS.update((f"direct:{v}", _direct(v)) for v in VARIANTS)
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_record_is_exactly_what_a_firing_changed(kind):
+def _firings(kind):
+    """Attempt `kind` once at each starting vertex of the seeded graphs, on
+    the evolving graph, so later attempts see what earlier firings built.
+    Checks that an attempt that does not fire changes nothing, and yields
+    (copy before, graph after, live record, live second part) per firing."""
     attempt = KINDS[kind]
     rnd = random.Random(kind)
-    fired = 0
     for g in _graphs(0xC4A, 120):
         g.take_changed()
         log = TransformLog()
-        exclusion = {}
-        # one pass over the starting vertices, on the evolving graph, so
-        # later attempts see what earlier firings built
         for v in g.active_vertices():
             if not g.is_active(v):
                 continue
             before = g.copy()
-            if attempt(g, v, log, rnd, exclusion):
-                fired += 1
+            if attempt(g, v, log, rnd):
+                touched = {x for x in g._touched if g.is_active(x)}
                 live = {x for x in g.take_changed() if g.is_active(x)}
-                assert live == _diff(before, g), (kind, v)
+                yield before, g, live, touched
             else:
                 assert g == before, (kind, v)
                 assert g.take_changed() == set(), (kind, v)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_record_is_exactly_what_a_firing_changed(kind):
+    fired = 0
+    for before, g, live, touched in _firings(kind):
+        fired += 1
+        assert live == _diff(before, g), kind
+        assert touched == _touched(before, g), kind
     assert fired >= MIN_FIRINGS, fired
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_vertices_off_the_record_keep_their_closed_neighborhood(kind):
+    """Every live vertex outside P and N(T) kept its weighted G[N[v]],
+    where P is the record and T its second part, by brute force."""
+    kept = 0
+    for before, g, live, touched in _firings(kind):
+        near = live.union(*(g.neighbors(t) for t in touched))
+        for v in g.active_vertices():
+            if v in near:
+                continue
+            assert (_closed_neighborhood(before, v)
+                    == _closed_neighborhood(g, v)), (kind, v)
+            # the far vertices, next to the record, are where it matters
+            kept += not live.isdisjoint(g.neighbors(v))
+    # a decreasing pair struction reweights all of N(v), so few far
+    # vertices lie outside N(T) there (97 for the original variant)
+    assert kept >= 50, kept
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -147,15 +196,19 @@ def test_blow_up_seeds_are_the_change_and_its_neighbors(variant):
 def test_each_mutator_records_what_it_touches():
     g = DynGraph()
     a, b, c = g.add_vertex(1), g.add_vertex(2), g.add_vertex(3)
+    assert g._touched == {a, b, c}
     assert g.take_changed() == {a, b, c}
-    assert g.take_changed() == set()
+    assert g.take_changed() == set() and g._touched == set()
     g.add_edge(a, b)
+    assert g._touched == {a, b}
     assert g.take_changed() == {a, b}
     g.set_weight(c, 5)
+    assert g._touched == {c}
     assert g.take_changed() == {c}
     g.add_edge(b, c)
     g.take_changed()
     g.remove_vertex(b)  # its neighbors get new sets; b itself is gone
+    assert g._touched == set()
     assert g.take_changed() == {a, c}
     # reads and refused writes record nothing
     g.add_edge(a, c)
@@ -171,6 +224,7 @@ def test_add_vertex_records_the_vertex_and_its_neighbors():
     a, b, c = g.add_vertex(1), g.add_vertex(2), g.add_vertex(3)
     g.take_changed()
     v = g.add_vertex(4, [c, a])
+    assert g._touched == {v}
     assert g.take_changed() == {v, a, c}
     g.remove_vertex(b)
     g.take_changed()

@@ -207,6 +207,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_non_ascii_input_is_a_parse_error(tmp_path, p3a_file, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"3 2 10\n2 2\n3 1 3\n2 2 \xc3\xa9\n")
+    sol = tmp_path / "p3a.sol"
+    assert main(["solve", "--in", p3a_file, "--sol", str(sol)]) == EXIT_OK
+    runs = [["reduce", "--in", str(bad), "--out", str(tmp_path / "k")],
+            ["solve", "--in", str(bad), "--sol", str(tmp_path / "x.sol")],
+            ["oracle", "--in", str(bad)],
+            ["verify", "--in", str(bad), "--sol", str(sol)]]
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv) == EXIT_PARSE, argv
+        assert capsys.readouterr().err == "parse error: line 4: non-ASCII byte\n"
+    bad_sol = tmp_path / "bad.sol"
+    bad_sol.write_bytes(sol.read_bytes() + b"\xff\n")
+    assert main(["verify", "--in", p3a_file, "--sol", str(bad_sol)]) == EXIT_PARSE
+    assert capsys.readouterr().err == "parse error: line 4: non-ASCII byte\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = main(["solve", "--in", str(tmp_path / "none.graph"),
                "--sol", str(tmp_path / "x.sol")])

@@ -50,6 +50,23 @@ def test_parse_errors_carry_line_numbers(tmp_path):
             parse_graph(_write(tmp_path, text))
 
 
+def test_non_ascii_bytes_are_parse_errors_with_line_numbers(tmp_path):
+    graphs = [
+        (b"% caf\xc3\xa9\n3 2 10\n2 2\n3 1 3\n2 2\n", "line 1"),  # comment
+        (b"3 2 10\n2 2\n3 1 3\xff\n2 2\n", "line 3"),
+        (b"3 2 10\r\n2 2\r\n3 1 3\r\n\x802 2\r\n", "line 4"),
+    ]
+    for data, fragment in graphs:
+        p = tmp_path / "g.graph"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(f"{fragment}: non-ASCII")):
+            parse_graph(str(p))
+    p = tmp_path / "s.sol"
+    p.write_bytes(b"%weight 4\n1\n3\xc2\xa0\n")
+    with pytest.raises(ParseError, match=re.escape("line 3: non-ASCII")):
+        read_solution(str(p))
+
+
 def test_one_sided_edge_rejected(tmp_path):
     text = "2 1 10\n4 2\n5\n"
     with pytest.raises(ParseError, match="not listed on vertex 2"):

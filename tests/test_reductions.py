@@ -157,20 +157,6 @@ def test_decreasing_struction_rejects_growth(c4a):
         assert c4a.counts()[0] == before
 
 
-def test_plateau_struction_excludes_after_failure():
-    g = mwis.new_graph(5, [3, 2, 2, 2, 2])
-    for u in (1, 2, 3, 4):
-        g.add_edge(0, u)
-    cfg = ReduceConfig(variant="extended", d_max=64)
-    exclusion = {}
-    log = TransformLog()
-    fired = mwis.plateau_struction(g, 0, cfg, log, exclusion)
-    if not fired:
-        assert 0 in exclusion
-        # second attempt short-circuits on the recorded fingerprint
-        assert not mwis.plateau_struction(g, 0, cfg, log, exclusion)
-
-
 def test_struction_cap_precheck_skips_only_certain_aborts():
     # wherever the count of exceeding sets of size <= 2 passes the cap of a
     # decreasing (deg) or plateau (deg + 1) struction, the full extended

@@ -1,10 +1,11 @@
 """The per-rule dirty marks of the reduction queue are exact.
 
-`_reduce_into` re-tests a queued vertex only with the cheap rules that may
-have started to apply there.  These tests run it against the queue that
-re-tests every rule (kept below as `_reduce_all_rules`) and require the same
-log bytes, kernel and stats, and they check the two single-removal lemmas
-the marks rest on by brute force.
+`_reduce_into` re-tests a queued vertex only with the rules that may have
+started to apply there.  These tests run it against the queue that re-tests
+every rule (kept below as `_reduce_all_rules`) and require the same log
+bytes, kernel and stats.  They also check that no struction attempt is
+repeated on an unchanged neighborhood, and the two single-removal lemmas
+the marks rest on, by brute force.
 """
 
 import heapq
@@ -13,10 +14,11 @@ import random
 import pytest
 
 import mwis
+from mwis import reductions
 from mwis import RULE_ORDER, BlowupConfig, BlowupState, ReduceConfig, blow_up
 from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED
-from mwis.reductions import (_SIMPLE_RULES, _reduce_into, _with_neighbors,
+from mwis.reductions import (_SIMPLE_RULES, _reduce_into,
                              decreasing_struction, plateau_struction)
 from mwis.translog import ExcludedVertex, TransformLog, to_bytes
 
@@ -26,10 +28,21 @@ VARIANTS = ("original", "modified", "extended", "extended_reduced")
 RULE_SETS = (RULE_ORDER, tuple(r for r in RULE_ORDER if r != "plateau_struction"))
 
 
+def _with_neighbors(g, changed):
+    S = set(changed)
+    return S.union(*(g._nbs[x] for x in S))
+
+
+def _fingerprint(g, v):
+    return (g.weight(v), frozenset((u, g.weight(u)) for u in g.neighbors(v)))
+
+
 def _reduce_all_rules(g, cfg, log, stats, seeds=None):
     """The queue before per-rule marks: every popped vertex is tested with
     every cheap rule, and every firing re-queues the graph's change record
-    and its neighbors."""
+    and its neighbors for every rule, structions included.  A failed plateau
+    attempt excludes its centre until the centre's weight or the weighted
+    neighborhood changes."""
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [r for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
@@ -85,10 +98,14 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
                 applied = decreasing_struction(g, v, cfg, log)
             elif budget <= 0:
                 applied = False
+            elif exclusion.get(v) == _fingerprint(g, v):
+                applied = False
             else:
-                applied = plateau_struction(g, v, cfg, log, exclusion)
+                applied = plateau_struction(g, v, cfg, log)
                 if applied:
                     budget -= 1
+                else:
+                    exclusion[v] = _fingerprint(g, v)
             if applied:
                 fire(rule)
                 break
@@ -190,6 +207,79 @@ def test_cyclic_blow_up_matches_all_rules_queue(monkeypatch):
             assert to_bytes(got.log) == to_bytes(want.log)
             assert got.kernel == want.kernel
             assert got.stats == want.stats
+
+
+# -- no struction attempt is repeated on an unchanged neighborhood -----------------
+
+def _local_state(g, v):
+    """v's weight, its neighbors with their weights, and the edges among
+    its neighbors: all a struction attempt at v reads."""
+    nbrs = g._nbs[v]
+    return (g._w[v], frozenset((u, g._w[u]) for u in nbrs),
+            frozenset((a, b) for a in nbrs for b in g._nbs[a] & nbrs if a < b))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
+        variant, monkeypatch):
+    """Within one `_reduce_into` call, a struction rule is attempted again at
+    a vertex only after its weighted G[N[v]] changed, on the tie graphs and
+    on the re-reductions that follow blow-up phases.  After each firing,
+    every attempt whose vertex no longer has the state it was attempted in
+    is forgotten; an attempt in the state of a remembered one is a repeat."""
+    last = {}  # (rule, v) -> state of its last attempt, while unchanged
+    repeats, attempts = [], []
+
+    def forget_changed(g):
+        for (rule, v), state in list(last.items()):
+            if v not in g._w or _local_state(g, v) != state:
+                del last[rule, v]
+
+    def watched(name, fn, struction):
+        def attempt(g, v, *rest):
+            if struction:
+                state = _local_state(g, v)
+                if last.get((name, v)) == state:
+                    repeats.append((name, v))
+                last[name, v] = state
+                attempts.append(name)
+            fired = fn(g, v, *rest)
+            if fired:
+                forget_changed(g)
+            return fired
+        return attempt
+
+    for name, fn in list(_SIMPLE_RULES.items()):
+        monkeypatch.setitem(_SIMPLE_RULES, name, watched(name, fn, False))
+    for name in ("decreasing_struction", "plateau_struction"):
+        monkeypatch.setattr(reductions, name,
+                            watched(name, getattr(reductions, name), True))
+
+    cfg = ReduceConfig(variant=variant, d_max=16)
+
+    def reduce_once(g, log, seeds=None):
+        last.clear()
+        _reduce_into(g, cfg, log, {}, seeds)
+
+    for g in _tie_graphs(0x7A1, 60):
+        reduce_once(g, TransformLog())
+    bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
+    rnd = random.Random(0xB10)
+    phases = 0
+    for _ in range(12):
+        g = random_graph(rnd, rnd.randint(20, 40), rnd.choice((0.1, 0.2)),
+                         wmin=1, wmax=rnd.choice((3, 20)))
+        log = TransformLog()
+        reduce_once(g, log)
+        state = BlowupState()
+        for _phase in range(6):
+            status, _center, seeds = blow_up(g, state, bcfg, log)
+            if status != CHANGED:
+                break
+            phases += 1
+            reduce_once(g, log, seeds)
+    assert repeats == []
+    assert len(attempts) >= 1000 and phases >= 10, (len(attempts), phases)
 
 
 # -- the single-removal lemmas, by brute force ------------------------------------
