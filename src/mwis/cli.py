@@ -113,6 +113,10 @@ def _reduce_cmd(args):
 
 
 def _solve_cmd(args):
+    # a NaN limit fails every comparison, so the deadline would never fire
+    if args.time_limit is not None and not args.time_limit >= 0:
+        raise _UsageError(
+            f"--time-limit must be a number >= 0, got {args.time_limit}")
     g = parse_graph(args.infile)
     cfg = SolverConfig(mode=args.mode, time_limit=args.time_limit)
     t0 = time.monotonic()

@@ -18,6 +18,15 @@ reduced.  The second test is skipped when it would repeat the first.
                                 return max(W, c)
         branch; W <- Solve(include); W <- Solve(exclude); return W
 
+    UpperBound(G):
+        C, L <- a weight-splitting clique cover of G and its levels
+        B <- sum of L
+        for a in C by (size, index), while L(a) > 0:
+            S <- {a} + {first b in C inside N(u) with L(b) > 0 : u in a}
+            if some u in a has no such b:  next a
+            d <- min of L over S;  L(S) <- L(S) - d;  B <- B - d
+        return B
+
 The offset c is exactly the running TransformLog offset: branching decisions
 are recorded as IncludedVertex/ExcludedVertex events, so any leaf's solution
 can be reconstructed by lifting the log prefix.  Inside the recursion only
@@ -67,7 +76,9 @@ class SolveResult:
 # -- bounds -------------------------------------------------------------------
 
 def upper_bound(g):
-    """Weight-splitting clique cover bound (Warren & Hicks 2006).
+    """Weight-splitting clique cover bound (Warren & Hicks 2006), lowered by
+    conflict sets of its cliques (one step of WLMC's MaxSAT reasoning, Jiang,
+    Li & Manya 2017).
 
     Every clique C carries a level, and every vertex v lies in cliques whose
     levels sum to at least w(v).  An independent set meets each clique at
@@ -79,6 +90,8 @@ def upper_bound(g):
     order: it joins C when level(C) <= r and pays level(C); otherwise C is
     split, C + {v} becoming a new clique of level r while C keeps the rest.
     Weight still uncovered after the walk opens the clique {v}.
+
+    The bound returned is the sum of the levels minus what `_refine` saves.
     """
     w, nbs = g._w, g._nbs
     members = []   # clique index -> its vertices
@@ -115,7 +128,62 @@ def upper_bound(g):
             members.append([v])
             levels.append(r)
         cliques_of[v] = joined
-    return sum(levels)
+    cover = sum(levels)
+    return cover - _refine(members, levels, nbs)
+
+
+def _refine(members, levels, nbs):
+    """Lower the levels of a clique cover along conflict sets; return the
+    total saved.
+
+    Each vertex's weight is covered by the levels of its cliques, and an
+    independent set I meets each clique at most once, so
+    w(I) <= sum_i level_i * [I hits C_i].  Let S be a set of cliques that no
+    independent set hits in full, and delta the least level in S.  Lowering
+    every level in S by delta takes at most delta * (|S| - 1) from the right
+    side for any I, while the sum of the levels falls by delta * |S|: the
+    bound falls by delta and stays valid.  Repeat on the lowered levels,
+    carrying the delta * (|S| - 1) terms along.
+
+    One-step sets: for a clique a, each member u takes b(u), the first
+    clique by index that lies inside N(u) and still has a level.  An I
+    hitting a at u misses b(u), so S = {a} + {b(u)} cannot be hit in full
+    (b(u) != a, as u is in a).
+
+    Cliques a are visited by (size, index), each while it keeps a level and
+    finds a set.  A clique that finds none keeps failing, as levels only
+    fall, so one pass reaches a fixpoint.
+    """
+    inside = {}  # vertex u -> ascending indices of the cliques inside N(u)
+    for b, cl in enumerate(members):
+        common = nbs[cl[0]]
+        for x in cl[1:]:
+            common = common & nbs[x]
+        for u in common:
+            inside.setdefault(u, []).append(b)
+
+    def conflict_set(a):
+        found = {a}
+        for u in members[a]:
+            for b in inside.get(u, ()):
+                if levels[b]:
+                    found.add(b)
+                    break
+            else:
+                return None
+        return found
+
+    saved = 0
+    for a in sorted(range(len(levels)), key=lambda i: (len(members[i]), i)):
+        while levels[a]:
+            conflict = conflict_set(a)
+            if conflict is None:
+                break
+            delta = min(levels[i] for i in conflict)
+            for i in conflict:
+                levels[i] -= delta
+            saved += delta
+    return saved
 
 
 def _improve(g, sol):

@@ -199,6 +199,35 @@ def test_time_limit_exit_code(tmp_path, capsys):
     assert "status=timelimit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1", "-0.5"])
+def test_solve_rejects_a_time_limit_that_is_not_a_number_or_negative(
+        tmp_path, capsys, limit):
+    # the input would not parse: the flag is rejected before it is read
+    bad = tmp_path / "bad.graph"
+    bad.write_text("3 2 10\n")
+    sol = tmp_path / "x.sol"
+    rc = main(["solve", "--in", str(bad), "--sol", str(sol),
+               "--time-limit", limit])
+    assert rc == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--time-limit must be a number >= 0" in lines[0]
+    assert not sol.exists()
+
+
+@pytest.mark.parametrize("limit", ["0", "inf"])
+def test_solve_accepts_a_zero_or_infinite_time_limit(tmp_path, p3a_file,
+                                                     capsys, limit):
+    sol = tmp_path / "p3a.sol"
+    rc = main(["solve", "--in", p3a_file, "--sol", str(sol),
+               "--time-limit", limit])
+    assert rc in (EXIT_OK, EXIT_TIME_LIMIT)
+    assert read_solution(str(sol))[0] <= 4
+    if limit == "inf":
+        assert rc == EXIT_OK
+        assert read_solution(str(sol))[0] == 4
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("3 2 10\n2 2\n3 1 3\n")   # missing a vertex line

@@ -1,0 +1,47 @@
+"""Relations between solves that need no oracle, on graphs past the size
+that `brute_force_mwis` can check.
+
+Permuting the vertex ids must not change the optimum, and multiplying every
+weight by k must multiply it by k.  Every rule condition is scale-free, so
+scaling leaves the kernel size as it was too.
+"""
+
+import random
+
+import pytest
+
+import mwis
+from mwis import SolverConfig, solve
+
+# (seed, n) of sparse gnp graphs (average degree 5) whose kernels are
+# not empty under nonincreasing, so the search runs
+GRAPHS = ((1, 60), (2, 120), (5, 160))
+SCALE = 7
+
+
+def _relabel(g, perm, k=1):
+    """Copy of g with vertex v renamed perm[v] and every weight times k."""
+    weights = [0] * len(perm)
+    for v in g.active_vertices():
+        weights[perm[v]] = k * g.weight(v)
+    h = mwis.new_graph(len(perm), weights)
+    for v in g.active_vertices():
+        for u in g.neighbors(v):
+            if v < u:
+                h.add_edge(perm[v], perm[u])
+    return h
+
+
+@pytest.mark.parametrize("mode", ["nonincreasing", "cyclic-fast"])
+@pytest.mark.parametrize("seed, n", GRAPHS)
+def test_optimum_survives_relabelling_and_scales_with_the_weights(seed, n,
+                                                                 mode):
+    g = mwis.random_gnp_graph(n, 5 / n, seed=seed)
+    cfg = SolverConfig(mode=mode)
+    base = solve(g, cfg)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    assert solve(_relabel(g, perm), cfg).weight == base.weight
+    scaled = solve(_relabel(g, list(range(n)), SCALE), cfg)
+    assert scaled.weight == SCALE * base.weight
+    assert scaled.stats["kernel_n"] == base.stats["kernel_n"]

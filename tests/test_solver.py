@@ -87,6 +87,35 @@ def test_upper_bound_split_is_tighter_than_a_greedy_cover(p3a):
     assert upper_bound(p3a) == 4 == brute_force_mwis(p3a)[0]
 
 
+def test_refined_bound_reaches_the_optimum_where_the_cover_does_not(
+        monkeypatch):
+    # the cover is {0, 5}, {1, 2}, {3} and {4}, each at level 1; a set that
+    # hits {1, 2} at 1 misses {4} and at 2 misses {3}, so no independent set
+    # hits all three
+    g = mwis.new_graph(6, [1] * 6)
+    for u, v in ((0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)):
+        g.add_edge(u, v)
+    assert upper_bound(g) == 3 == brute_force_mwis(g)[0]
+    monkeypatch.setattr(solver, "_refine", lambda *args: 0)
+    assert upper_bound(g) == 4
+
+
+def test_refined_bound_lies_between_the_optimum_and_the_cover(monkeypatch):
+    rnd = random.Random(0xB0B)
+    graphs = []
+    for _ in range(300):
+        n = rnd.randint(1, 18)
+        g = random_graph(rnd, n, rnd.choice([0.15, 0.3, 0.5, 0.8]),
+                         wmax=rnd.choice([3, 200]))
+        graphs.append(g)
+    refined = [upper_bound(g) for g in graphs]
+    monkeypatch.setattr(solver, "_refine", lambda *args: 0)
+    covers = [upper_bound(g) for g in graphs]
+    for g, bound, cover in zip(graphs, refined, covers):
+        assert brute_force_mwis(g)[0] <= bound <= cover
+    assert sum(b < c for b, c in zip(refined, covers)) > 0
+
+
 def test_local_search_returns_valid_lower_bound(c4a):
     w, sol = local_search(c4a)
     assert is_independent(c4a, sol)
@@ -193,13 +222,17 @@ def _disjoint_union(parts):
 
 
 def test_solve_over_components_with_zero_weight_parts(monkeypatch):
-    # pieces that survive the reductions, so the kernel splits and every
-    # component is searched from a node without an incumbent
+    # pieces that survive the reductions and whose kernel bound does not
+    # meet its local search, so the root cannot prune the union before it
+    # splits and every component is searched from a node without an
+    # incumbent
     rnd = random.Random(0xD15C)
     pieces = []
     while len(pieces) < 8:
         g = random_graph(rnd, 12, 0.5, wmax=200)
-        if mwis.preprocess(g.copy(), "nonincreasing").kernel.counts()[0]:
+        kernel = mwis.preprocess(g.copy(), "nonincreasing").kernel
+        if (kernel.counts()[0]
+                and upper_bound(kernel) > local_search(kernel)[0]):
             pieces.append(g)
     searched = []
     real = solver._solve_subgraph
