@@ -6,10 +6,9 @@ the graph) with full reduction phases:
     K <- reduce(G)
     while K is not empty and unsuccessful < X:
         K'  <- blow_up(K)           (NoCandidate: return K)
-        K'' <- reduce(K')
+        K'' <- reduce(K') around the struction's change record
         if |V(K'')| < |V(K)|: K <- K''
-        else: roll K, the log and the candidate bounds back and count the
-              phase as unsuccessful
+        else: roll K and the log back and count the phase as unsuccessful
 
 Every accepted phase shrinks K, so K is always the smallest kernel seen.
 The presets differ only in their BlowupConfig; nonincreasing is X = 0,
@@ -28,8 +27,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .reductions import (KernelResult, ReduceConfig, _outer_neighbors,
-                         _reduce_into)
+from .reductions import KernelResult, ReduceConfig, _reduce_into
 from .struction import (VARIANT_OPS, Aborted, NotMinimal,
                         count_small_exceeding_sets)
 from .translog import TransformLog
@@ -94,9 +92,9 @@ class BlowupState:
 
 def blow_up(K, state, cfg, log):
     """Apply one increasing struction to the irreducible graph K.  Returns
-    (CHANGED, center, seeds), where seeds is the dirty region the follow-up
-    reduction must revisit (the graph's change record and its neighbors),
-    or (NO_CANDIDATE, None, None)."""
+    (CHANGED, center), leaving exactly the struction's change on K's
+    record (cleared on entry; failed attempts write nothing), or
+    (NO_CANDIDATE, None)."""
     nbs = K._nbs
     K.take_changed()
     while True:
@@ -116,7 +114,7 @@ def blow_up(K, state, cfg, log):
             if best is None or key < best[0]:
                 best = (key, v, b)
         if best is None:
-            return NO_CANDIDATE, None, None
+            return NO_CANDIDATE, None
         _key, v, b = best
         tight_cap = math.ceil(cfg.beta * b) - 1
         cap = min(tight_cap, cfg.n_max)
@@ -124,22 +122,18 @@ def blow_up(K, state, cfg, log):
             out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
             state.excluded[v] = neighborhood_fingerprint(K, v)
-            state.bounds.pop(v, None)
             continue
         if isinstance(out, Aborted):
             if out.reason == "budget" or tight_cap >= cfg.n_max:
                 # the cap that failed was the global one (or the enumeration
                 # gave up): shelve v until its neighborhood changes
                 state.excluded[v] = neighborhood_fingerprint(K, v)
-                state.bounds.pop(v, None)
             else:
                 # tightness failure: retry later with a bound at least
                 # doubled, whatever beta is; b + 1 lifts the L = 0 bound
                 state.bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
             continue
-        state.bounds.pop(v, None)
-        live = {x for x in K.take_changed() if x in K._w}
-        return CHANGED, v, live | _outer_neighbors(K, live)
+        return CHANGED, v
 
 
 def cyclic_blow_up(g, cfg=None, deadline=None):
@@ -148,7 +142,11 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
 
     deadline is an optional time.monotonic() timestamp; once it passes, no
     further phases start and the kernel so far is returned (which is always
-    a valid kernel, so callers can keep going with it)."""
+    a valid kernel, so callers can keep going with it).
+
+    A rejected phase restores only the graph and the log.  blow_up writes
+    nothing before its one struction, so its bounds fit the restored graph,
+    where each centre it dropped stays excluded until an accept clears all."""
     cfg = cfg or BlowupConfig()
     reduce_cfg = cfg.reduce_cfg
     log = TransformLog()
@@ -167,14 +165,13 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
             break
         snap_graph = K.copy()
         snap_len = len(log)
-        snap_bounds = dict(state.bounds)
         pre_n = K.counts()[0]
 
-        status, center, seeds = blow_up(K, state, cfg, log)
+        status, center = blow_up(K, state, cfg, log)
         if status == NO_CANDIDATE:
             break
         stats["blowup_phases"] += 1
-        _reduce_into(K, reduce_cfg, log, stats, seeds=seeds)
+        _reduce_into(K, reduce_cfg, log, stats, seeds=())
 
         if K.counts()[0] < pre_n:
             stats["blowup_accepts"] += 1
@@ -183,7 +180,6 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
             stats["blowup_rejects"] += 1
             K = snap_graph
             log.truncate(snap_len)
-            state.bounds = snap_bounds
             state.excluded[center] = neighborhood_fingerprint(K, center)
             unsuccessful += 1
 

@@ -11,6 +11,7 @@ file, 3 time limit hit (a best-effort solution was still written).
 import argparse
 import math
 import os
+import re
 import sys
 import time
 
@@ -30,6 +31,12 @@ EXIT_TIME_LIMIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read -inf and -nan as values, like -1, for the range checks
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+|\d*\.\d+|inf|infinity|nan)$", re.I)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)

@@ -19,7 +19,7 @@ _touched; the reduction queue re-tests the region around it after each
 transformation.  add_vertex takes the new vertex's neighbors, so a
 transformation builds each vertex it creates, edges included, in one call.
 new_graph, the parser and the generators return graphs whose record is
-empty.
+empty, and so do copy() and subgraph().
 """
 
 
@@ -170,6 +170,7 @@ class DynGraph:
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self):
+        """An equal graph whose change record starts empty."""
         g = DynGraph()
         g._w = dict(self._w)
         g._nbs = {v: set(nbrs) for v, nbrs in self._nbs.items()}

@@ -10,8 +10,8 @@ every rule marked, and a popped vertex is tested against its marked rules in
 order.  After each firing, _mark reads the graph's change record and
 re-enqueues the region around it, each vertex marked with only the rules
 that could have started to apply there, so the rules fire exactly as if
-every rule were re-tested.  Vertices whose weight reaches zero are swept
-out first, recorded as ExcludedVertex.
+every rule were re-tested; a re-reduction starts from the record's marks
+alone.  Zero-weight vertices are swept out first, as ExcludedVertex.
 
 A struction attempt is repeated at a vertex only after its weighted closed
 neighborhood changed, so no exclusion map is kept.  Plateau structions
@@ -261,34 +261,28 @@ def reduce(g, cfg=None):
 def _reduce_into(g, cfg, log, stats, seeds=None):
     """Run the pipeline on g, appending events to an existing log.
 
-    Two dirty queues keep the expensive struction rules from re-running
-    inside removal cascades: the cheap rules are drained to a fixpoint
-    first, and only then is one struction attempt popped.  Per vertex the
-    configured rule order still holds, because a struction at v is only
-    tried in states where every cheaper rule was already tried at v and
-    did not fire.
+    The cheap rules are drained to a fixpoint before each struction
+    attempt, so structions never run inside removal cascades, and a
+    struction at v is tried only where every cheaper rule failed at v.
 
-    A queued vertex carries a bitmask of the rules that could have started
-    to apply there since it was last tested; a popped vertex runs only the
-    cheap ones among them, in rule order, and only a mask with the
-    struction bits puts it on the struction queue.  The masks leave a rule
-    out only where it provably still returns False (see _mark), so the same
-    rules fire in the same order as when every rule is re-tested.
+    Seeds None queue every vertex with every rule, otherwise only the
+    seeds; then _mark(g, 0, ...) queues the region around g's change
+    record.  With seeds, g must have been a fixpoint of cfg's rules before
+    the changes its record holds: by _mark's lemma every rule still fails
+    outside the marked region, and failed tests write nothing, so the same
+    rules fire as when every vertex is re-tested.  Only a twin merge can
+    turn round: y outside the region may gain a twin u inside it, which
+    absorbs y where testing every vertex keeps y if y < u.  Blow-up phases
+    and search nodes pass seeds=().
     """
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
     budget = 4 * g.counts()[0]
     w = g._w
-    g.take_changed()  # what happened before this call is covered by seeds
 
-    if seeds is None:
-        seeds = g.active_vertices()
-    start = sorted(set(seeds))
-    cheap_heap = list(start)
-    pending = dict.fromkeys(start, _ALL)  # queued vertex -> rules to re-test
-    exp_heap = list(start) if expensive else []
-    exp_q = set(exp_heap)
+    cheap_heap, exp_heap, exp_q = [], [], set()
+    pending = {}  # queued vertex -> rules to re-test
 
     def enqueue(vs, mask):
         struction = expensive and mask & _STRUCTIONS
@@ -306,6 +300,9 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     def fire(rule, n):
         stats[rule] = stats.get(rule, 0) + 1
         _mark(g, n - len(w), enqueue)
+
+    enqueue(g.active_vertices() if seeds is None else seeds, _ALL)
+    _mark(g, 0, enqueue)  # the changes made before this call
 
     while cheap_heap or exp_heap:
         if cheap_heap:

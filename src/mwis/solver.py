@@ -9,7 +9,7 @@ reduced.  The second test is skipped when it would repeat the first.
 
     Solve(G, c, W):
         if W is set and c + UpperBound(G) <= W:  return W
-        (G, c) <- Reduce(G, c)
+        (G, c) <- Reduce(G, c) around what the branch changed
         if W is unset:          W <- c + local_search(G)
         elif Reduce left G as it was:  skip the next test
         if c + UpperBound(G) <= W:  return W
@@ -31,7 +31,9 @@ The offset c is exactly the running TransformLog offset: branching decisions
 are recorded as IncludedVertex/ExcludedVertex events, so any leaf's solution
 can be reconstructed by lifting the log prefix.  Inside the recursion only
 decreasing reductions run (no plateau structions); the configured preset
-applies to the initial preprocessing alone.
+applies to the initial preprocessing alone.  Reduce starts from the change
+record (seeds=()): a child's G was a fixpoint before its branch's removals,
+and the root kernel and each component are fixpoints with empty records.
 """
 
 import sys
@@ -387,7 +389,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     if checked and log.offset + upper_bound(G) <= inc.W:
         return
     before = len(log)
-    _reduce_into(G, sh.reduce_cfg, log, sh.stats)
+    _reduce_into(G, sh.reduce_cfg, log, sh.stats, ())
     c = log.offset
     if seed_ls:
         lw, lset = local_search(G)

@@ -81,6 +81,22 @@ def random_graph(rnd, n, p, wmin=1, wmax=9):
     return g
 
 
+def disjoint_union(parts):
+    """The graphs side by side, each part's ids shifted past the last."""
+    import mwis
+
+    g = mwis.DynGraph()
+    for part in parts:
+        base = g.next_id
+        for v in part.active_vertices():
+            g.add_vertex(part.weight(v))
+        for v in part.active_vertices():
+            for u in part.neighbors(v):
+                if v < u:
+                    g.add_edge(base + v, base + u)
+    return g
+
+
 class _Abort(Exception):
     def __init__(self, reason):
         super().__init__(reason)

@@ -56,13 +56,14 @@ def test_blow_up_picks_cheapest_candidate(c4a):
     # keys b - (deg+1): v0 0, v1 -1, v2 -2, v3 -1; vertex 2 wins
     state = BlowupState()
     log = TransformLog()
-    status, center, seeds = blow_up(c4a, state, BlowupConfig(), log)
+    status, center = blow_up(c4a, state, BlowupConfig(), log)
     assert status == CHANGED
     assert center == 2
     assert log.offset == 3
     # {1,2,3} replaced by one set-vertex adjacent to 0
     assert c4a.counts() == (2, 1)
-    assert seeds
+    # the struction's change is left on the record for the re-reduction
+    assert {x for x in c4a.take_changed() if c4a.is_active(x)} == {0, 4}
 
 
 def test_blow_up_no_candidate_when_all_excluded(c4a):
@@ -70,7 +71,7 @@ def test_blow_up_no_candidate_when_all_excluded(c4a):
     for v in c4a.active_vertices():
         state.excluded[v] = neighborhood_fingerprint(c4a, v)
     snap = c4a.copy()
-    status, center, _ = blow_up(c4a, state, BlowupConfig(), TransformLog())
+    status, center = blow_up(c4a, state, BlowupConfig(), TransformLog())
     assert status == NO_CANDIDATE and center is None
     assert c4a == snap
 
@@ -78,7 +79,7 @@ def test_blow_up_no_candidate_when_all_excluded(c4a):
 def test_blow_up_degree_cap_applies(c4a):
     state = BlowupState()
     cfg = BlowupConfig(d_max=1)
-    status, _, _ = blow_up(c4a, state, cfg, TransformLog())
+    status, _ = blow_up(c4a, state, cfg, TransformLog())
     assert status == NO_CANDIDATE
 
 
@@ -98,7 +99,7 @@ def test_blow_up_tightness_retry_doubles_bound():
         state.excluded[v] = neighborhood_fingerprint(g, v)
     cfg = BlowupConfig(n_max=512)
     log = TransformLog()
-    status, center, _ = blow_up(g, state, cfg, log)
+    status, center = blow_up(g, state, cfg, log)
     # one tightness abort, then success with the doubled bound
     assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
@@ -131,7 +132,7 @@ def test_blow_up_tightness_retry_doubles_bound_for_small_beta(monkeypatch,
     state = BlowupState()
     for v in range(1, 6):
         state.excluded[v] = neighborhood_fingerprint(g, v)
-    status, center, _ = blow_up(g, state, cfg, TransformLog())
+    status, center = blow_up(g, state, cfg, TransformLog())
     assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
     assert {v for v, _cap in calls} == {0}
@@ -147,7 +148,7 @@ def test_blow_up_retries_a_zero_bound(monkeypatch):
         g.add_edge(0, u)
     assert estimate_L(g, 0) == 0
     log = TransformLog()
-    status, center, _ = blow_up(g, BlowupState(), BlowupConfig(), log)
+    status, center = blow_up(g, BlowupState(), BlowupConfig(), log)
     assert status == CHANGED and center == 0
     assert calls == [(0, -1), (0, 1)]
     assert g.counts() == (1, 0)
@@ -161,10 +162,52 @@ def test_blow_up_nmax_abort_excludes_center():
         state.excluded[v] = neighborhood_fingerprint(g, v)
     snap = g.copy()
     cfg = BlowupConfig(n_max=5)   # 26 needed, global cap 5: hopeless
-    status, center, _ = blow_up(g, state, cfg, TransformLog())
+    status, center = blow_up(g, state, cfg, TransformLog())
     assert status == NO_CANDIDATE and center is None
     assert 0 in state.excluded
     assert g == snap
+
+
+def test_rejected_phases_repeat_no_blow_up_attempt(monkeypatch):
+    """A rejected phase restores the graph and the log but keeps the bounds
+    blow_up learnt, which describe the restored graph: within one cycle no
+    struction attempt of blow_up recurs at the same centre, cap and whole
+    graph."""
+    keys = []
+    inside = []
+
+    def watched(op):
+        def attempt(K, v, cap, log):
+            if inside:
+                keys.append((v, cap, frozenset(K._w.items()),
+                             frozenset((u, frozenset(n))
+                                       for u, n in K._nbs.items())))
+            return op(K, v, cap, log)
+        return attempt
+
+    for name, op in list(blowup_mod.VARIANT_OPS.items()):
+        monkeypatch.setitem(blowup_mod.VARIANT_OPS, name, watched(op))
+    real = blowup_mod.blow_up
+
+    def blow_up_watched(*args):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(blowup_mod, "blow_up", blow_up_watched)
+    rnd = random.Random(0xC5)
+    graphs = [random_graph(rnd, 40, 4 / 39, wmin=1, wmax=200) for _ in range(8)]
+    rejects = attempts = repeats = 0
+    for mode in ("cyclic-fast", "cyclic-strong"):
+        for g in graphs:
+            keys.clear()
+            rejects += preprocess(g.copy(), mode, X=6).stats["blowup_rejects"]
+            attempts += len(keys)
+            repeats += len(keys) - len(set(keys))
+    assert repeats == 0, (repeats, attempts)
+    assert rejects >= 5 and attempts >= 15, (rejects, attempts)
 
 
 def test_cyclic_blow_up_preserves_weight():

@@ -23,7 +23,7 @@ from mwis import (BlowupConfig, BlowupState, DuplicateEdge, DynGraph,
                   random_gnp_graph, random_path_graph)
 from mwis.blowup import CHANGED
 from mwis.metisio import parse_graph, write_graph
-from mwis.reductions import (_SIMPLE_RULES, decreasing_struction,
+from mwis.reductions import (_SIMPLE_RULES, _mark, decreasing_struction,
                              plateau_struction)
 from mwis.struction import VARIANT_OPS, Aborted, NotMinimal
 from mwis.translog import TransformLog
@@ -175,20 +175,29 @@ def test_vertices_off_the_record_keep_their_closed_neighborhood(kind):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_blow_up_seeds_are_the_change_and_its_neighbors(variant):
+    """blow_up clears the record on entry and leaves exactly its one
+    struction's change there (failed attempts record nothing); the
+    re-reduction is seeded with what _mark queues from that record, the
+    change and its neighbors."""
     cfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     phases = 0
     for g in _graphs(0xB10, 40):
         state = BlowupState()
         for _phase in range(4):
             before = g.copy()
-            status, _center, seeds = blow_up(g, state, cfg, TransformLog())
+            status, _center = blow_up(g, state, cfg, TransformLog())
             if status != CHANGED:
                 assert g == before
+                assert g.take_changed() == set()
                 break
             phases += 1
             changed = _diff(before, g)
-            want = changed.union(*(g.neighbors(x) for x in changed))
-            assert set(seeds) == want
+            assert {x for x in g._changed if g.is_active(x)} == changed
+            assert {x for x in g._touched if g.is_active(x)} == _touched(
+                before, g)
+            seeds = set()
+            _mark(g, 0, lambda vs, mask: seeds.update(vs))
+            assert seeds == changed.union(*(g.neighbors(x) for x in changed))
             assert g.take_changed() == set()
     assert phases >= MIN_FIRINGS, phases
 

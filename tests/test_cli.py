@@ -69,6 +69,7 @@ def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, bad, message):
     (["--nmax", "-1"], "--nmax must be >= 0"),
     (["--dmax", "-1"], "--dmax must be >= 0"),
     (["--unsucc", "-1"], "--unsucc must be >= 0"),
+    (["--beta", "-inf"], "--beta must be positive and finite"),
 ])
 def test_reduce_rejects_out_of_range_tuning_flags(tmp_path, p3a_file, capsys,
                                                   bad, message):
@@ -199,7 +200,7 @@ def test_time_limit_exit_code(tmp_path, capsys):
     assert "status=timelimit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("limit", ["nan", "-1", "-0.5"])
+@pytest.mark.parametrize("limit", ["nan", "-1", "-0.5", "-inf"])
 def test_solve_rejects_a_time_limit_that_is_not_a_number_or_negative(
         tmp_path, capsys, limit):
     # the input would not parse: the flag is rejected before it is read

@@ -1,11 +1,15 @@
 """The per-rule dirty marks of the reduction queue are exact.
 
 `_reduce_into` re-tests a queued vertex only with the rules that may have
-started to apply there.  These tests run it against the queue that re-tests
-every rule (kept below as `_reduce_all_rules`) and require the same log
-bytes, kernel and stats.  They also check that no struction attempt is
-repeated on an unchanged neighborhood, and the two single-removal lemmas
-the marks rest on, by brute force.
+started to apply there, and a re-reduction after a blow-up phase or a
+search branch queues only the region around the graph's change record.
+These tests run it against the queue that starts from every vertex and
+re-tests every rule (kept below as `_reduce_all_rules`) and require the
+same log bytes, kernel and stats; solve must give the same result when
+every search node re-tests every vertex.  They also check that a branch's re-reduction
+reaches a fixpoint, that no struction attempt is repeated on an unchanged
+neighborhood, and the two single-removal lemmas the marks rest on, by
+brute force.
 """
 
 import heapq
@@ -22,7 +26,7 @@ from mwis.reductions import (_SIMPLE_RULES, _reduce_into,
                              decreasing_struction, plateau_struction)
 from mwis.translog import ExcludedVertex, TransformLog, to_bytes
 
-from reference import random_graph
+from reference import disjoint_union, random_graph
 
 VARIANTS = ("original", "modified", "extended", "extended_reduced")
 RULE_SETS = (RULE_ORDER, tuple(r for r in RULE_ORDER if r != "plateau_struction"))
@@ -38,11 +42,11 @@ def _fingerprint(g, v):
 
 
 def _reduce_all_rules(g, cfg, log, stats, seeds=None):
-    """The queue before per-rule marks: every popped vertex is tested with
-    every cheap rule, and every firing re-queues the graph's change record
-    and its neighbors for every rule, structions included.  A failed plateau
-    attempt excludes its centre until the centre's weight or the weighted
-    neighborhood changes."""
+    """The queue before per-rule marks: every vertex starts queued, whatever
+    the seeds, every popped vertex is tested with every cheap rule, and
+    every firing re-queues the graph's change record and its neighbors for
+    every rule, structions included.  A failed plateau attempt excludes its
+    centre until the centre's weight or the weighted neighborhood changes."""
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [r for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
@@ -50,9 +54,7 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
     exclusion = {}
     g.take_changed()
 
-    if seeds is None:
-        seeds = g.active_vertices()
-    start = sorted(set(seeds))
+    start = g.active_vertices()
     cheap_heap = list(start)
     cheap_q = set(start)
     exp_heap = list(start) if expensive else []
@@ -112,7 +114,9 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
 
 
 def _outcome(reduce_into, g, cfg, seeds=None):
+    record = set(g._changed), set(g._touched)
     g = g.copy()
+    g._changed, g._touched = record
     log = TransformLog()
     stats = {}
     reduce_into(g, cfg, log, stats, seeds)
@@ -174,7 +178,8 @@ def test_marks_match_all_rules_queue_with_cheap_rule_subsets():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("rules", RULE_SETS, ids=("plateau", "no_plateau"))
 def test_marks_match_all_rules_queue_after_blow_up(variant, rules):
-    """Re-reduction of a blow-up's seeds: clique peels by domination."""
+    """Re-reduction from the record a blow-up phase leaves: clique peels
+    by domination."""
     cfg = ReduceConfig(rules=rules, variant=variant, d_max=16)
     bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     rnd = random.Random(0xB10)
@@ -186,12 +191,12 @@ def test_marks_match_all_rules_queue_after_blow_up(variant, rules):
         _reduce_into(g, cfg, log, {})
         state = BlowupState()
         for _phase in range(6):
-            status, _center, seeds = blow_up(g, state, bcfg, log)
+            status, _center = blow_up(g, state, bcfg, log)
             if status != CHANGED:
                 break
             phases += 1
-            _assert_same(g, cfg, seeds)
-            _reduce_into(g, cfg, log, {}, seeds)
+            _assert_same(g, cfg, ())
+            _reduce_into(g, cfg, log, {}, ())
     assert phases >= 10
 
 
@@ -273,11 +278,11 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
         reduce_once(g, log)
         state = BlowupState()
         for _phase in range(6):
-            status, _center, seeds = blow_up(g, state, bcfg, log)
+            status, _center = blow_up(g, state, bcfg, log)
             if status != CHANGED:
                 break
             phases += 1
-            reduce_once(g, log, seeds)
+            reduce_once(g, log, ())
     assert repeats == []
     assert len(attempts) >= 1000 and phases >= 10, (len(attempts), phases)
 
@@ -322,3 +327,67 @@ def test_single_removal_lemmas_by_brute_force():
                         or not set(h.neighbors(v)) & P)
                 checked_twins += 1
     assert checked_twins >= 50
+
+
+# -- search nodes re-reduce from the record their branch left -----------------
+
+def _split_graph():
+    """Two sparse gnp graphs side by side: the kernel splits into components
+    at the root under every preset, and each one is branched on."""
+    return disjoint_union([mwis.random_gnp_graph(n, 5 / n, seed=s)
+                            for s, n in ((3, 120), (8, 160))])
+
+
+def test_a_branch_re_reduction_reaches_a_fixpoint():
+    """After a branch removes v, or N[v], from a fixpoint of the search's
+    rules, the re-reduction from the record leaves no rule that applies
+    anywhere: a pass that re-tests every vertex records nothing."""
+    cfg = ReduceConfig(rules=RULE_SETS[1])
+    rnd = random.Random(0xB4)
+    branches = fired = 0
+    for _ in range(20):
+        n = rnd.randint(30, 60)
+        g = random_graph(rnd, n, rnd.choice((4, 5, 6)) / n,
+                         wmax=rnd.choice((3, 10, 200)))
+        _reduce_into(g, cfg, TransformLog(), {})
+        for v in g.active_vertices():
+            for removed in ([v], [v] + g.neighbors(v)):
+                h = g.copy()
+                for x in removed:
+                    h.remove_vertex(x)
+                stats = {}
+                _reduce_into(h, cfg, TransformLog(), stats, ())
+                log = TransformLog()
+                _reduce_into(h, cfg, log, {}, None)
+                assert len(log) == 0, (removed, log.events)
+                branches += 1
+                fired += sum(stats.values())
+    assert branches >= 400 and fired >= 2500, (branches, fired)
+
+
+@pytest.mark.parametrize("mode", ["nonincreasing", "cyclic-fast",
+                                  "cyclic-strong"])
+def test_search_from_the_record_matches_re_testing_every_vertex(monkeypatch,
+                                                                mode):
+    """A search node re-reduces only around what its branch removed
+    (seeds=()); re-testing every vertex at every node must give the same
+    weight, solution and stats."""
+    searched = []
+    real = mwis.solver._solve_subgraph
+    monkeypatch.setattr(mwis.solver, "_solve_subgraph",
+                        lambda c, sh: searched.append(c) or real(c, sh))
+
+    def every_vertex(g, cfg, log, stats, seeds=None):
+        _reduce_into(g, cfg, log, stats, None)
+
+    g = _split_graph()
+    cfg = mwis.SolverConfig(mode=mode)
+    got = mwis.solve(g, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(mwis.solver, "_reduce_into", every_vertex)
+        want = mwis.solve(g, cfg)
+    assert got.weight == want.weight
+    assert got.solution == want.solution
+    assert got.stats == want.stats
+    assert got.stats["branches"] >= 25 and len(searched) >= 4, (
+        got.stats["branches"], len(searched))

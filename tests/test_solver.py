@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (DynGraph, OPTIMAL, ReduceConfig, SizeLimit, SolverConfig,
+from mwis import (OPTIMAL, ReduceConfig, SizeLimit, SolverConfig,
                   TIME_LIMIT, brute_force_mwis, components, local_search,
                   solve, upper_bound, verify_lift)
 from mwis import solver
 from mwis.solver import _branch_vertex
 
-from reference import is_independent, mwis_oracle, random_graph
+from reference import (disjoint_union, is_independent, mwis_oracle,
+                       random_graph)
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -208,19 +209,6 @@ def test_solve_sums_over_components():
     assert res.weight == 8
 
 
-def _disjoint_union(parts):
-    g = DynGraph()
-    for part in parts:
-        base = g.next_id
-        for v in part.active_vertices():
-            g.add_vertex(part.weight(v))
-        for v in part.active_vertices():
-            for u in part.neighbors(v):
-                if v < u:
-                    g.add_edge(base + v, base + u)
-    return g
-
-
 def test_solve_over_components_with_zero_weight_parts(monkeypatch):
     # pieces that survive the reductions and whose kernel bound does not
     # meet its local search, so the root cannot prune the union before it
@@ -242,7 +230,7 @@ def test_solve_over_components_with_zero_weight_parts(monkeypatch):
         zero = random_graph(rnd, 3, 0.7)
         for v in zero.active_vertices():
             zero.set_weight(v, 0)
-        g = _disjoint_union([zero, pieces[i], zero, pieces[i + 1]])
+        g = disjoint_union([zero, pieces[i], zero, pieces[i + 1]])
         res = solve(g)
         assert res.weight == brute_force_mwis(g)[0]
         assert is_independent(g, res.solution)
