@@ -18,10 +18,9 @@ from .reductions import (KernelResult, RULE_ORDER, ReduceConfig,
                          decreasing_struction, degree_two_fold, domination,
                          neighborhood_removal, plateau_struction, reduce,
                          twin_merge)
-from .blowup import (BlowupConfig, BlowupState, PRESETS, PRESET_CYCLIC_FAST,
+from .blowup import (BlowupConfig, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
-                     cyclic_blow_up, make_blowup_config,
-                     neighborhood_fingerprint, preprocess)
+                     cyclic_blow_up, make_blowup_config, preprocess)
 from .solver import (OPTIMAL, SizeLimit, SolveResult, SolverConfig,
                      TIME_LIMIT, brute_force_mwis, components,
                      local_search, solve, upper_bound)
@@ -43,8 +42,8 @@ __all__ = [
     "reduce", "ReduceConfig", "KernelResult", "RULE_ORDER",
     "neighborhood_removal", "degree_two_fold", "clique_reduction",
     "domination", "twin_merge", "clique_neighborhood_removal",
-    "decreasing_struction", "plateau_struction", "neighborhood_fingerprint",
-    "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig", "BlowupState",
+    "decreasing_struction", "plateau_struction",
+    "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig",
     "make_blowup_config", "PRESETS", "PRESET_NONINCREASING",
     "PRESET_CYCLIC_FAST", "PRESET_CYCLIC_STRONG",
     "solve", "SolverConfig", "SolveResult", "components",

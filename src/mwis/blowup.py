@@ -20,12 +20,15 @@ at most two.  A struction attempt is capped at min(ceil(beta*bound) - 1,
 n_max); a cap abort below n_max raises the bound to max(ceil(beta*bound),
 2*bound, bound + 1), which at least doubles it for every beta, and retries
 later (tightness check), so a centre is retried O(log(n_max / beta)) times;
-anything else excludes the vertex until its weight or neighborhood changes.
+anything else excludes the vertex (EXCLUDED).  An attempt reads only the
+weighted G[N[v]], its cap and the variant, so a bound or exclusion stands
+while G[N[v]] stands, as in the reduction; under the original and modified
+variants G[N[v]] can return to an earlier state and repeat a failure.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .reductions import KernelResult, ReduceConfig, _reduce_into
 from .struction import (VARIANT_OPS, Aborted, NotMinimal,
@@ -34,6 +37,7 @@ from .translog import TransformLog
 
 CHANGED = "changed"
 NO_CANDIDATE = "nocandidate"
+EXCLUDED = "excluded"  # bounds entry: no more attempts on this G[N[v]]
 
 PRESET_NONINCREASING = "nonincreasing"
 PRESET_CYCLIC_FAST = "cyclic-fast"
@@ -72,44 +76,30 @@ def make_blowup_config(mode, **overrides):
     return BlowupConfig(**fields)
 
 
-def neighborhood_fingerprint(g, v):
-    """Weight-and-neighborhood snapshot used by the exclusion map."""
-    w = g._w
-    return (w[v], frozenset((u, w[u]) for u in g._nbs[v]))
-
-
 def estimate_L(g, v):
     """Exceeding independent sets of size <= 2 inside N(v): a lower bound
     on how many vertices a struction at v would create."""
     return count_small_exceeding_sets(g, v)
 
 
-@dataclass
-class BlowupState:
-    bounds: dict = field(default_factory=dict)    # vertex -> current bound
-    excluded: dict = field(default_factory=dict)  # vertex -> fingerprint
-
-
-def blow_up(K, state, cfg, log):
+def blow_up(K, bounds, cfg, log):
     """Apply one increasing struction to the irreducible graph K.  Returns
     (CHANGED, center), leaving exactly the struction's change on K's
     record (cleared on entry; failed attempts write nothing), or
-    (NO_CANDIDATE, None)."""
-    nbs = K._nbs
+    (NO_CANDIDATE, None).  bounds maps a vertex to its bound on its current
+    G[N[v]], or to EXCLUDED; a vertex without an entry starts at L."""
     K.take_changed()
     while True:
         best = None
-        for v in K.active_vertices():
-            d = len(nbs[v])
+        for v, nv in K._nbs.items():
+            d = len(nv)
             if d > cfg.d_max:
                 continue
-            if (v in state.excluded
-                    and state.excluded[v] == neighborhood_fingerprint(K, v)):
-                continue
-            b = state.bounds.get(v)
+            b = bounds.get(v)
             if b is None:
-                b = estimate_L(K, v)
-                state.bounds[v] = b
+                b = bounds[v] = estimate_L(K, v)
+            elif b is EXCLUDED:
+                continue
             key = (b - (d + 1), v)
             if best is None or key < best[0]:
                 best = (key, v, b)
@@ -121,17 +111,17 @@ def blow_up(K, state, cfg, log):
         try:
             out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
-            state.excluded[v] = neighborhood_fingerprint(K, v)
+            bounds[v] = EXCLUDED
             continue
         if isinstance(out, Aborted):
             if out.reason == "budget" or tight_cap >= cfg.n_max:
                 # the cap that failed was the global one (or the enumeration
                 # gave up): shelve v until its neighborhood changes
-                state.excluded[v] = neighborhood_fingerprint(K, v)
+                bounds[v] = EXCLUDED
             else:
                 # tightness failure: retry later with a bound at least
                 # doubled, whatever beta is; b + 1 lifts the L = 0 bound
-                state.bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
+                bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
             continue
         return CHANGED, v
 
@@ -146,7 +136,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
 
     A rejected phase restores only the graph and the log.  blow_up writes
     nothing before its one struction, so its bounds fit the restored graph,
-    where each centre it dropped stays excluded until an accept clears all."""
+    where the centre is excluded; an accept drops those of struck vertices."""
     cfg = cfg or BlowupConfig()
     reduce_cfg = cfg.reduce_cfg
     log = TransformLog()
@@ -158,7 +148,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
     stats["blowup_accepts"] = 0
     stats["blowup_rejects"] = 0
 
-    state = BlowupState()
+    bounds = {}
     unsuccessful = 0
     while K.counts()[0] and unsuccessful < cfg.X:
         if deadline is not None and time.monotonic() >= deadline:
@@ -167,20 +157,21 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
         snap_len = len(log)
         pre_n = K.counts()[0]
 
-        status, center = blow_up(K, state, cfg, log)
+        status, center = blow_up(K, bounds, cfg, log)
         if status == NO_CANDIDATE:
             break
         stats["blowup_phases"] += 1
-        _reduce_into(K, reduce_cfg, log, stats, seeds=())
+        struck = _reduce_into(K, reduce_cfg, log, stats, seeds=())
 
         if K.counts()[0] < pre_n:
             stats["blowup_accepts"] += 1
-            state.bounds.clear()
+            for v in struck:
+                bounds.pop(v, None)
         else:
             stats["blowup_rejects"] += 1
             K = snap_graph
             log.truncate(snap_len)
-            state.excluded[center] = neighborhood_fingerprint(K, center)
+            bounds[center] = EXCLUDED
             unsuccessful += 1
 
     stats["kernel_n"], stats["kernel_m"] = K.counts()

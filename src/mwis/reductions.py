@@ -13,10 +13,10 @@ that could have started to apply there, so the rules fire exactly as if
 every rule were re-tested; a re-reduction starts from the record's marks
 alone.  Zero-weight vertices are swept out first, as ExcludedVertex.
 
-A struction attempt is repeated at a vertex only after its weighted closed
-neighborhood changed, so no exclusion map is kept.  Plateau structions
-(which keep the vertex count unchanged) can still open one another in a
-chain, so they are bounded by a budget of 4|V| applications per call.
+A struction attempt, here or at a blow-up candidate, is repeated at a vertex
+only after its weighted closed neighborhood changed; no exclusion map is kept.
+Plateau structions (which keep the vertex count unchanged) can still open
+one another in a chain, so they are bounded by 4|V| applications per call.
 """
 
 import heapq
@@ -274,6 +274,10 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     turn round: y outside the region may gain a twin u inside it, which
     absorbs y where testing every vertex keeps y if y < u.  Blow-up phases
     and search nodes pass seeds=().
+
+    Returns the vertices queued for a struction attempt: if cfg has a
+    struction rule, by _mark's lemma every live vertex whose weighted
+    G[N[v]] changed in the call or in the record it started from.
     """
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
@@ -281,7 +285,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     budget = 4 * g.counts()[0]
     w = g._w
 
-    cheap_heap, exp_heap, exp_q = [], [], set()
+    cheap_heap, exp_heap, exp_q, struck = [], [], set(), set()
     pending = {}  # queued vertex -> rules to re-test
 
     def enqueue(vs, mask):
@@ -295,6 +299,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
                 pending[x] = m | mask
             if struction and x not in exp_q:
                 exp_q.add(x)
+                struck.add(x)
                 heapq.heappush(exp_heap, x)
 
     def fire(rule, n):
@@ -338,6 +343,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
             if applied:
                 fire(rule, n)
                 break
+    return struck
 
 
 def _mark(g, removed, enqueue):

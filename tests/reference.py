@@ -5,7 +5,9 @@ definition, without using any code from the mwis package, so that an
 agreement between the two is meaningful evidence of correctness.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 
 def mwis_oracle(g, limit=20):
@@ -79,6 +81,23 @@ def random_graph(rnd, n, p, wmin=1, wmax=9):
             if rnd.random() < p:
                 g.add_edge(i, j)
     return g
+
+
+def bench_inputs():
+    """The benchmark's instance generators, bench/inputs.py, as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def local_state(g, v):
+    """v's weight, its neighbors with their weights, and the edges among
+    its neighbors: all a struction attempt at v reads."""
+    nbrs = g._nbs[v]
+    return (g._w[v], frozenset((u, g._w[u]) for u in nbrs),
+            frozenset((a, b) for a in nbrs for b in g._nbs[a] & nbrs if a < b))
 
 
 def disjoint_union(parts):

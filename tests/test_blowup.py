@@ -5,13 +5,12 @@ import time
 import pytest
 
 import mwis
-from mwis import (BlowupConfig, BlowupState, TransformLog, blow_up,
-                  cyclic_blow_up, lift, make_blowup_config,
-                  neighborhood_fingerprint, preprocess, verify_lift)
+from mwis import (BlowupConfig, TransformLog, blow_up, cyclic_blow_up, lift,
+                  make_blowup_config, preprocess, verify_lift)
 from mwis import blowup as blowup_mod
-from mwis.blowup import CHANGED, NO_CANDIDATE, estimate_L
+from mwis.blowup import CHANGED, EXCLUDED, NO_CANDIDATE, estimate_L
 
-from reference import mwis_oracle, random_graph
+from reference import bench_inputs, local_state, mwis_oracle, random_graph
 
 
 def test_estimate_L_counts_small_exceeding_sets(c4a):
@@ -54,9 +53,8 @@ def test_direct_config_drives_reduce_cfg():
 
 def test_blow_up_picks_cheapest_candidate(c4a):
     # keys b - (deg+1): v0 0, v1 -1, v2 -2, v3 -1; vertex 2 wins
-    state = BlowupState()
     log = TransformLog()
-    status, center = blow_up(c4a, state, BlowupConfig(), log)
+    status, center = blow_up(c4a, {}, BlowupConfig(), log)
     assert status == CHANGED
     assert center == 2
     assert log.offset == 3
@@ -67,19 +65,16 @@ def test_blow_up_picks_cheapest_candidate(c4a):
 
 
 def test_blow_up_no_candidate_when_all_excluded(c4a):
-    state = BlowupState()
-    for v in c4a.active_vertices():
-        state.excluded[v] = neighborhood_fingerprint(c4a, v)
+    bounds = dict.fromkeys(c4a.active_vertices(), EXCLUDED)
     snap = c4a.copy()
-    status, center = blow_up(c4a, state, BlowupConfig(), TransformLog())
+    status, center = blow_up(c4a, bounds, BlowupConfig(), TransformLog())
     assert status == NO_CANDIDATE and center is None
     assert c4a == snap
 
 
 def test_blow_up_degree_cap_applies(c4a):
-    state = BlowupState()
     cfg = BlowupConfig(d_max=1)
-    status, _ = blow_up(c4a, state, cfg, TransformLog())
+    status, _ = blow_up(c4a, {}, cfg, TransformLog())
     assert status == NO_CANDIDATE
 
 
@@ -94,12 +89,10 @@ def _pair_bomb(k):
 
 def test_blow_up_tightness_retry_doubles_bound():
     g = _pair_bomb(5)   # L=10, true count 2^5-5-1 = 26 > 2*10-1
-    state = BlowupState()
-    for v in range(1, 6):
-        state.excluded[v] = neighborhood_fingerprint(g, v)
+    bounds = dict.fromkeys(range(1, 6), EXCLUDED)
     cfg = BlowupConfig(n_max=512)
     log = TransformLog()
-    status, center = blow_up(g, state, cfg, log)
+    status, center = blow_up(g, bounds, cfg, log)
     # one tightness abort, then success with the doubled bound
     assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
@@ -129,10 +122,8 @@ def test_blow_up_tightness_retry_doubles_bound_for_small_beta(monkeypatch,
     # n_max within about log2(n_max) retries whatever beta is
     calls = _count_attempts(monkeypatch, math.ceil(math.log2(cfg.n_max)) + 2)
     g = _pair_bomb(5)
-    state = BlowupState()
-    for v in range(1, 6):
-        state.excluded[v] = neighborhood_fingerprint(g, v)
-    status, center = blow_up(g, state, cfg, TransformLog())
+    bounds = dict.fromkeys(range(1, 6), EXCLUDED)
+    status, center = blow_up(g, bounds, cfg, TransformLog())
     assert status == CHANGED and center == 0
     assert g.counts()[0] == 26
     assert {v for v, _cap in calls} == {0}
@@ -148,7 +139,7 @@ def test_blow_up_retries_a_zero_bound(monkeypatch):
         g.add_edge(0, u)
     assert estimate_L(g, 0) == 0
     log = TransformLog()
-    status, center = blow_up(g, BlowupState(), BlowupConfig(), log)
+    status, center = blow_up(g, {}, BlowupConfig(), log)
     assert status == CHANGED and center == 0
     assert calls == [(0, -1), (0, 1)]
     assert g.counts() == (1, 0)
@@ -157,31 +148,25 @@ def test_blow_up_retries_a_zero_bound(monkeypatch):
 
 def test_blow_up_nmax_abort_excludes_center():
     g = _pair_bomb(5)
-    state = BlowupState()
-    for v in range(1, 6):
-        state.excluded[v] = neighborhood_fingerprint(g, v)
+    bounds = dict.fromkeys(range(1, 6), EXCLUDED)
     snap = g.copy()
     cfg = BlowupConfig(n_max=5)   # 26 needed, global cap 5: hopeless
-    status, center = blow_up(g, state, cfg, TransformLog())
+    status, center = blow_up(g, bounds, cfg, TransformLog())
     assert status == NO_CANDIDATE and center is None
-    assert 0 in state.excluded
+    assert bounds[0] is EXCLUDED
     assert g == snap
 
 
-def test_rejected_phases_repeat_no_blow_up_attempt(monkeypatch):
-    """A rejected phase restores the graph and the log but keeps the bounds
-    blow_up learnt, which describe the restored graph: within one cycle no
-    struction attempt of blow_up recurs at the same centre, cap and whole
-    graph."""
+def _watch_blow_up_attempts(monkeypatch):
+    """(centre, cap, weighted G[N[centre]]) of every struction attempt that
+    blow_up makes; the attempt reads nothing else."""
     keys = []
     inside = []
 
     def watched(op):
         def attempt(K, v, cap, log):
             if inside:
-                keys.append((v, cap, frozenset(K._w.items()),
-                             frozenset((u, frozenset(n))
-                                       for u, n in K._nbs.items())))
+                keys.append((v, cap, local_state(K, v)))
             return op(K, v, cap, log)
         return attempt
 
@@ -197,17 +182,43 @@ def test_rejected_phases_repeat_no_blow_up_attempt(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(blowup_mod, "blow_up", blow_up_watched)
+    return keys
+
+
+def test_rejected_phases_repeat_no_blow_up_attempt(monkeypatch):
+    """A bound or an exclusion outlives every phase until the re-reduction
+    of an accepted phase reports that G[N[v]] may have changed, and a
+    rejected phase restores the graph it describes: under the extended
+    variant no struction attempt of blow_up recurs within one cycle at the
+    same centre, cap and G[N[centre]]."""
+    keys = _watch_blow_up_attempts(monkeypatch)
     rnd = random.Random(0xC5)
     graphs = [random_graph(rnd, 40, 4 / 39, wmin=1, wmax=200) for _ in range(8)]
-    rejects = attempts = repeats = 0
+    rejects = accepts = attempts = repeats = 0
     for mode in ("cyclic-fast", "cyclic-strong"):
         for g in graphs:
             keys.clear()
-            rejects += preprocess(g.copy(), mode, X=6).stats["blowup_rejects"]
+            stats = preprocess(g.copy(), mode, X=6).stats
+            rejects += stats["blowup_rejects"]
+            accepts += stats["blowup_accepts"]
             attempts += len(keys)
             repeats += len(keys) - len(set(keys))
     assert repeats == 0, (repeats, attempts)
-    assert rejects >= 5 and attempts >= 15, (rejects, attempts)
+    assert rejects >= 5 and accepts >= 1 and attempts >= 15, (
+        rejects, accepts, attempts)
+
+
+def test_accepted_phases_repeat_no_blow_up_attempt(monkeypatch, tmp_path):
+    """On a sparse benchmark graph with many accepted phases, clearing every
+    bound on an accept re-ran 36 of 93 attempts; dropping only those the
+    re-reduction returns repeats none."""
+    keys = _watch_blow_up_attempts(monkeypatch)
+    path = tmp_path / "sparse.graph"
+    bench_inputs().sparse_graph(1000, 1750, seed=1).write(path)
+    stats = preprocess(mwis.parse_graph(path), "cyclic-fast").stats
+    assert len(keys) == len(set(keys)), (len(keys), len(set(keys)))
+    assert stats["blowup_accepts"] >= 5 and len(keys) >= 40, (
+        stats["blowup_accepts"], len(keys))
 
 
 def test_cyclic_blow_up_preserves_weight():

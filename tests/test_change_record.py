@@ -18,9 +18,9 @@ import random
 
 import pytest
 
-from mwis import (BlowupConfig, BlowupState, DuplicateEdge, DynGraph,
-                  GraphError, ReduceConfig, blow_up, new_graph,
-                  random_gnp_graph, random_path_graph)
+from mwis import (BlowupConfig, DuplicateEdge, DynGraph, GraphError,
+                  ReduceConfig, blow_up, new_graph, random_gnp_graph,
+                  random_path_graph)
 from mwis.blowup import CHANGED
 from mwis.metisio import parse_graph, write_graph
 from mwis.reductions import (_SIMPLE_RULES, _mark, decreasing_struction,
@@ -182,10 +182,10 @@ def test_blow_up_seeds_are_the_change_and_its_neighbors(variant):
     cfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     phases = 0
     for g in _graphs(0xB10, 40):
-        state = BlowupState()
+        bounds = {}
         for _phase in range(4):
             before = g.copy()
-            status, _center = blow_up(g, state, cfg, TransformLog())
+            status, _center = blow_up(g, bounds, cfg, TransformLog())
             if status != CHANGED:
                 assert g == before
                 assert g.take_changed() == set()

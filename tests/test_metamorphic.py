@@ -3,9 +3,9 @@ that `brute_force_mwis` can check.
 
 Permuting the vertex ids must not change the optimum, and multiplying every
 weight by k must multiply it by k.  Every rule condition is scale-free, so
-scaling leaves the kernel size as it was too.  Every preset reaches the same
-optimum, and a time-limited solve returns an independent set that weighs
-no more than it.
+scaling leaves the kernel size as it was too.  Every preset and every
+struction variant reaches the same optimum, and a time-limited solve
+returns an independent set that weighs no more than it.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import pytest
 
 import mwis
-from mwis import TIME_LIMIT, SolverConfig, solve, verify_lift
+from mwis import TIME_LIMIT, SolverConfig, lift, preprocess, solve, verify_lift
 
 # (seed, n) of sparse gnp graphs (average degree 5) whose kernels are
 # not empty under nonincreasing, so the search runs
@@ -67,3 +67,17 @@ def test_presets_agree_and_a_time_limit_stays_below_the_optimum(seed, n):
     assert res.status == TIME_LIMIT
     assert res.weight <= best
     assert verify_lift(g, res.solution, res.weight)
+
+
+@pytest.mark.parametrize("mode", ["nonincreasing", "cyclic-fast"])
+@pytest.mark.parametrize("seed, n", GRAPHS)
+def test_variants_agree_on_the_optimum(seed, n, mode):
+    """Each struction variant's kernel, solved and lifted, weighs the
+    optimum and is an independent set of the input."""
+    g = mwis.random_gnp_graph(n, 5 / n, seed=seed)
+    best = solve(g, SolverConfig()).weight
+    for variant in ("original", "modified", "extended", "extended_reduced"):
+        res = preprocess(g.copy(), mode, variant=variant)
+        kernel = solve(res.kernel, SolverConfig())
+        assert res.offset + kernel.weight == best, variant
+        assert verify_lift(g, lift(res.log, kernel.solution), best), variant

@@ -8,6 +8,7 @@ re-tests every rule (kept below as `_reduce_all_rules`) and require the
 same log bytes, kernel and stats; solve must give the same result when
 every search node re-tests every vertex.  They also check that a branch's re-reduction
 reaches a fixpoint, that no struction attempt is repeated on an unchanged
+neighborhood, that the vertices `_reduce_into` returns cover every changed
 neighborhood, and the two single-removal lemmas the marks rest on, by
 brute force.
 """
@@ -19,14 +20,14 @@ import pytest
 
 import mwis
 from mwis import reductions
-from mwis import RULE_ORDER, BlowupConfig, BlowupState, ReduceConfig, blow_up
+from mwis import RULE_ORDER, BlowupConfig, ReduceConfig, blow_up
 from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED
 from mwis.reductions import (_SIMPLE_RULES, _reduce_into,
                              decreasing_struction, plateau_struction)
 from mwis.translog import ExcludedVertex, TransformLog, to_bytes
 
-from reference import disjoint_union, random_graph
+from reference import disjoint_union, local_state, random_graph
 
 VARIANTS = ("original", "modified", "extended", "extended_reduced")
 RULE_SETS = (RULE_ORDER, tuple(r for r in RULE_ORDER if r != "plateau_struction"))
@@ -46,13 +47,18 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
     the seeds, every popped vertex is tested with every cheap rule, and
     every firing re-queues the graph's change record and its neighbors for
     every rule, structions included.  A failed plateau attempt excludes its
-    centre until the centre's weight or the weighted neighborhood changes."""
+    centre until the centre's weight or the weighted neighborhood changes.
+    Returns the vertices whose weighted G[N[v]] may differ from before the
+    record the call started from: the record's live vertices and their
+    neighbors at entry, and every vertex whose state at exit differs from
+    its state at entry, new vertices included."""
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [r for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
     budget = 4 * g.counts()[0]
     exclusion = {}
-    g.take_changed()
+    stale = _with_neighbors(g, [x for x in g.take_changed() if g.is_active(x)])
+    entry = {v: local_state(g, v) for v in g.active_vertices()}
 
     start = g.active_vertices()
     cheap_heap = list(start)
@@ -111,6 +117,8 @@ def _reduce_all_rules(g, cfg, log, stats, seeds=None):
             if applied:
                 fire(rule)
                 break
+    return stale | {v for v in g.active_vertices()
+                    if local_state(g, v) != entry.get(v)}
 
 
 def _outcome(reduce_into, g, cfg, seeds=None):
@@ -189,9 +197,9 @@ def test_marks_match_all_rules_queue_after_blow_up(variant, rules):
                          wmin=1, wmax=rnd.choice((3, 20)))
         log = TransformLog()
         _reduce_into(g, cfg, log, {})
-        state = BlowupState()
+        bounds = {}
         for _phase in range(6):
-            status, _center = blow_up(g, state, bcfg, log)
+            status, _center = blow_up(g, bounds, bcfg, log)
             if status != CHANGED:
                 break
             phases += 1
@@ -216,14 +224,6 @@ def test_cyclic_blow_up_matches_all_rules_queue(monkeypatch):
 
 # -- no struction attempt is repeated on an unchanged neighborhood -----------------
 
-def _local_state(g, v):
-    """v's weight, its neighbors with their weights, and the edges among
-    its neighbors: all a struction attempt at v reads."""
-    nbrs = g._nbs[v]
-    return (g._w[v], frozenset((u, g._w[u]) for u in nbrs),
-            frozenset((a, b) for a in nbrs for b in g._nbs[a] & nbrs if a < b))
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
         variant, monkeypatch):
@@ -237,13 +237,13 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
 
     def forget_changed(g):
         for (rule, v), state in list(last.items()):
-            if v not in g._w or _local_state(g, v) != state:
+            if v not in g._w or local_state(g, v) != state:
                 del last[rule, v]
 
     def watched(name, fn, struction):
         def attempt(g, v, *rest):
             if struction:
-                state = _local_state(g, v)
+                state = local_state(g, v)
                 if last.get((name, v)) == state:
                     repeats.append((name, v))
                 last[name, v] = state
@@ -276,15 +276,75 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
                          wmin=1, wmax=rnd.choice((3, 20)))
         log = TransformLog()
         reduce_once(g, log)
-        state = BlowupState()
+        bounds = {}
         for _phase in range(6):
-            status, _center = blow_up(g, state, bcfg, log)
+            status, _center = blow_up(g, bounds, bcfg, log)
             if status != CHANGED:
                 break
             phases += 1
             reduce_once(g, log, ())
     assert repeats == []
     assert len(attempts) >= 1000 and phases >= 10, (len(attempts), phases)
+
+
+def _states(g):
+    return {v: local_state(g, v) for v in g._nbs}
+
+
+def _assert_covers(g, before, struck):
+    """struck holds every live vertex whose state is not that of before."""
+    stale = {v for v in g._nbs if local_state(g, v) != before.get(v)}
+    assert stale <= struck, sorted(stale - struck)
+    return len(stale)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_returned_vertices_cover_every_changed_neighborhood(variant):
+    """`_reduce_into` returns every live vertex whose weighted G[N[v]]
+    differs from before the record it started from, new vertices included;
+    the blow-up cycle keeps a candidate's bound everywhere else.  Checked
+    on the tie graphs, on re-reductions after a search branch removes v or
+    N[v] from a fixpoint, and on re-reductions after blow-up phases."""
+    cfg = ReduceConfig(variant=variant, d_max=16)
+    calls = changed = 0
+    for g in _tie_graphs(0x7A1, 60):
+        # every vertex is new, so every survivor must be returned
+        changed += _assert_covers(g, {}, _reduce_into(g, cfg, TransformLog(),
+                                                      {}))
+        calls += 1
+    rnd = random.Random(0xB4)
+    for _ in range(10):
+        n = rnd.randint(30, 60)
+        g = random_graph(rnd, n, rnd.choice((4, 5, 6)) / n,
+                         wmax=rnd.choice((3, 10, 200)))
+        _reduce_into(g, cfg, TransformLog(), {})
+        before = _states(g)
+        for v in g.active_vertices():
+            for removed in ([v], [v] + g.neighbors(v)):
+                h = g.copy()
+                for x in removed:
+                    h.remove_vertex(x)
+                struck = _reduce_into(h, cfg, TransformLog(), {}, ())
+                changed += _assert_covers(h, before, struck)
+                calls += 1
+    bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
+    rnd = random.Random(0xB10)
+    phases = 0
+    for _ in range(12):
+        g = random_graph(rnd, rnd.randint(20, 40), rnd.choice((0.1, 0.2)),
+                         wmin=1, wmax=rnd.choice((3, 20)))
+        _reduce_into(g, cfg, TransformLog(), {})
+        bounds = {}
+        for _phase in range(6):
+            before = _states(g)
+            status, _center = blow_up(g, bounds, bcfg, TransformLog())
+            if status != CHANGED:
+                break
+            struck = _reduce_into(g, cfg, TransformLog(), {}, ())
+            changed += _assert_covers(g, before, struck)
+            phases += 1
+    assert calls >= 250 and changed >= 2500 and phases >= 10, (
+        calls, changed, phases)
 
 
 # -- the single-removal lemmas, by brute force ------------------------------------

@@ -21,7 +21,9 @@ would invoke it.  The corpus:
 * reduce of a sparse graph (n=3000, m=5250) under `nonincreasing` and
   `cyclic-fast`;
 * reduce of the first 20 criterion-5 graphs under all three presets with
-  `--variant original`, `modified` and `extended_reduced`.
+  `--variant original`, `modified` and `extended_reduced`;
+* reduce of a sparse graph (n=1000, m=1750) under `cyclic-fast` and
+  `cyclic-strong` with the same three variants.
 
 A reduce writes the kernel, its `.meta.json` sidecar and a stats file; a
 solve writes the solution and a stats file.  Timings go to stderr, which
@@ -65,6 +67,10 @@ def _ops():
         yield inst, [("reduce", f"{inst.name}.{p}.{v}",
                       ["--mode", p, "--variant", v])
                      for v in VARIANTS for p in PRESETS]
+    inst = inputs.sparse_graph(1000, 1750, seed=1)
+    yield inst, [("reduce", f"{inst.name}.{p}.{v}",
+                  ["--mode", p, "--variant", v])
+                 for v in VARIANTS for p in PRESETS[1:]]
 
 
 def _run(argv):
