@@ -14,10 +14,9 @@ from .struction import (Aborted, NotMinimal, VARIANT_OPS,
                         extended_struction, modified_struction,
                         original_struction)
 from .reductions import (KernelResult, RULE_ORDER, ReduceConfig,
-                         clique_neighborhood_removal, clique_reduction,
-                         decreasing_struction, degree_two_fold, domination,
-                         neighborhood_removal, plateau_struction, reduce,
-                         twin_merge)
+                         clique_neighborhood_removal, decreasing_struction,
+                         degree_two_fold, domination, plateau_struction,
+                         reduce, twin_merge)
 from .blowup import (BlowupConfig, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
                      cyclic_blow_up, make_blowup_config, preprocess)
@@ -40,8 +39,8 @@ __all__ = [
     "extended_reduced_struction", "enumerate_exceeding_sets", "VARIANT_OPS",
     "Aborted", "NotMinimal",
     "reduce", "ReduceConfig", "KernelResult", "RULE_ORDER",
-    "neighborhood_removal", "degree_two_fold", "clique_reduction",
-    "domination", "twin_merge", "clique_neighborhood_removal",
+    "clique_neighborhood_removal", "degree_two_fold", "domination",
+    "twin_merge",
     "decreasing_struction", "plateau_struction",
     "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig",
     "make_blowup_config", "PRESETS", "PRESET_NONINCREASING",

@@ -175,7 +175,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
             unsuccessful += 1
 
     stats["kernel_n"], stats["kernel_m"] = K.counts()
-    return KernelResult(K, log.offset, log, stats)
+    return KernelResult(K, log, stats)
 
 
 def preprocess(g, mode=PRESET_NONINCREASING, deadline=None, **overrides):

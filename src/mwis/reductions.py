@@ -1,9 +1,13 @@
 """Non-increasing reduction pipeline.
 
-Rules are attempted in a fixed order from cheapest to most expensive:
+Rules are attempted in a fixed order, the four simple rules before the two
+structions:
 
-    neighborhood_removal, degree_two_fold, clique_reduction, domination,
-    twin, clique_neighborhood_removal, decreasing_struction, plateau_struction
+    clique_neighborhood_removal, degree_two_fold, domination, twin,
+    decreasing_struction, plateau_struction
+
+The first also covers the neighborhood removal and clique reduction rules
+of Lamm et al. (ALENEX 2019), which take the same action; see its docstring.
 
 A dirty-vertex queue drives the fixpoint: every vertex starts dirty with
 every rule marked, and a popped vertex is tested against its marked rules in
@@ -27,12 +31,10 @@ from .translog import (DegreeTwoFold, ExcludedVertex, IncludedVertex,
                        TransformLog, TwinMerge)
 
 RULE_ORDER = (
-    "neighborhood_removal",
+    "clique_neighborhood_removal",
     "degree_two_fold",
-    "clique_reduction",
     "domination",
     "twin",
-    "clique_neighborhood_removal",
     "decreasing_struction",
     "plateau_struction",
 )
@@ -48,12 +50,15 @@ class ReduceConfig:
 @dataclass
 class KernelResult:
     kernel: object
-    offset: int
     log: TransformLog
     stats: dict
 
+    @property
+    def offset(self):
+        return self.log.offset
 
-# -- the six simple rules ----------------------------------------------------
+
+# -- the four simple rules ---------------------------------------------------
 # Each returns True when it fired and False, leaving the graph untouched,
 # when it does not apply at v.
 #
@@ -66,24 +71,44 @@ class KernelResult:
 # a removed vertex's set is never mutated afterwards, since no remaining
 # vertex neighbors it.
 
-def _remove_closed(g, v, nbrs):
+def clique_neighborhood_removal(g, v, log):
+    """Include v when it outweighs a greedy clique cover of its neighborhood.
+
+    The bound is the sum of the cover's clique maxima.  It is at most
+    w(N(v)), and when N(v) is a clique the greedy cover is that one clique,
+    so the bound is the heaviest neighbor's weight.  Hence this rule fires,
+    with the same IncludedVertex(v, w(v)), wherever neighborhood removal
+    (w(v) >= w(N(v))) or clique reduction (N(v) a clique, v heaviest in
+    N[v]) does, and neither needs a rule of its own.  It never competes
+    with degree_two_fold: a fold needs non-adjacent u, x with
+    w(v) < w(u) + w(x), and that sum is then the bound.
+    """
+    w, nbs = g._w, g._nbs
+    wv = w[v]
+    nbrs = nbs[v]
+    for u in nbrs:
+        # the heaviest neighbor opens the first clique, so any neighbor
+        # heavier than v already sinks the bound; skip the sort
+        if w[u] > wv:
+            return False
+    order = sorted((-w[u], u) for u in nbrs)
+    cliques = []
+    bound = 0
+    for negw, u in order:
+        nu = nbs[u]
+        for cl in cliques:
+            if cl <= nu:
+                cl.add(u)
+                break
+        else:
+            cliques.append({u})
+            bound -= negw  # first member carries the clique maximum
+            if bound > wv:
+                return False
+    log.record(IncludedVertex(v, wv))
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
-
-
-def neighborhood_removal(g, v, log):
-    """Include v when it outweighs its whole neighborhood."""
-    w = g._w
-    wv = w[v]
-    nbrs = g._nbs[v]
-    total = 0
-    for u in nbrs:
-        total += w[u]
-        if total > wv:
-            return False
-    log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs)
     return True
 
 
@@ -110,23 +135,6 @@ def degree_two_fold(g, v, log):
     g.remove_vertex(u)
     g.remove_vertex(x)
     log.record(DegreeTwoFold(v, u, x, folded, wv))
-    return True
-
-
-def clique_reduction(g, v, log):
-    """Include v when N(v) is a clique and v carries its maximum weight."""
-    w, nbs = g._w, g._nbs
-    wv = w[v]
-    nbrs = nbs[v]
-    for u in nbrs:
-        if w[u] > wv:
-            return False
-    others = len(nbrs) - 1
-    for a in nbrs:
-        if len(nbs[a] & nbrs) < others:
-            return False
-    log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs)
     return True
 
 
@@ -171,35 +179,6 @@ def twin_merge(g, v, log):
     log.record(TwinMerge(kept=v, absorbed=u))
     g.set_weight(v, w[v] + w[u])
     g.remove_vertex(u)
-    return True
-
-
-def clique_neighborhood_removal(g, v, log):
-    """Include v when it outweighs a greedy clique cover of its neighborhood."""
-    w, nbs = g._w, g._nbs
-    wv = w[v]
-    nbrs = nbs[v]
-    for u in nbrs:
-        # the heaviest neighbor opens the first clique, so any neighbor
-        # heavier than v already sinks the bound; skip the sort
-        if w[u] > wv:
-            return False
-    order = sorted((-w[u], u) for u in nbrs)
-    cliques = []
-    bound = 0
-    for negw, u in order:
-        nu = nbs[u]
-        for cl in cliques:
-            if cl <= nu:
-                cl.add(u)
-                break
-        else:
-            cliques.append({u})
-            bound -= negw  # first member carries the clique maximum
-            if bound > wv:
-                return False
-    log.record(IncludedVertex(v, wv))
-    _remove_closed(g, v, nbrs)
     return True
 
 
@@ -255,7 +234,7 @@ def reduce(g, cfg=None):
     log = TransformLog()
     stats = {}
     _reduce_into(g, cfg, log, stats)
-    return KernelResult(g, log.offset, log, stats)
+    return KernelResult(g, log, stats)
 
 
 def _reduce_into(g, cfg, log, stats, seeds=None):
@@ -432,10 +411,8 @@ _DOM, _TWIN = _BIT["domination"], _BIT["twin"]
 _STRUCTIONS = _BIT["decreasing_struction"] | _BIT["plateau_struction"]
 
 _SIMPLE_RULES = {
-    "neighborhood_removal": neighborhood_removal,
+    "clique_neighborhood_removal": clique_neighborhood_removal,
     "degree_two_fold": degree_two_fold,
-    "clique_reduction": clique_reduction,
     "domination": domination,
     "twin": twin_merge,
-    "clique_neighborhood_removal": clique_neighborhood_removal,
 }

@@ -451,7 +451,6 @@ def solve(g, cfg=None):
 
     stats = {"branches": 0, "max_depth": 0}
     stats.update(kres.stats)
-    stats["kernel_n"], stats["kernel_m"] = K.counts()
     stats["offset"] = kres.offset
     in_recursion_cfg = ReduceConfig(
         rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"),

@@ -163,17 +163,8 @@ def _undo_struction(e, cur):
         return _undo_pairs(e, cur, created, chosen, modified=False)
     if e.variant == "modified":
         return _undo_pairs(e, cur, created, chosen, modified=True)
-    if e.variant == "extended":
-        if len(chosen) > 1:
-            raise CorruptLog(f"two encoding vertices picked at center {e.center}")
-        if chosen:
-            cur.discard(chosen[0])
-            cur.update(created[chosen[0]].c)
-        else:
-            cur.add(e.center)
-        return cur
-    if e.variant == "extended_reduced":
-        return _undo_extended_reduced(e, cur, created, chosen)
+    if e.variant in ("extended", "extended_reduced"):
+        return _undo_sets(e, cur, created, chosen)
     raise CorruptLog(f"unknown struction variant {e.variant!r}")
 
 
@@ -200,7 +191,8 @@ def _undo_pairs(e, cur, created, chosen, modified):
     return cur
 
 
-def _undo_extended_reduced(e, cur, created, chosen):
+def _undo_sets(e, cur, created, chosen):
+    # an extended struction creates VertexSet vertices only, so ext is empty
     core = [cid for cid in chosen if isinstance(created[cid], VertexSet)]
     ext = [cid for cid in chosen if isinstance(created[cid], VertexSetPlus)]
     if len(core) > 1:

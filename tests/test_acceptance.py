@@ -63,12 +63,11 @@ def test_criterion_1_struction_lemma_suite():
 
 
 def test_criterion_2_reduction_rule_safety():
-    """Each of the six simple rules preserves optimum + offset at every
+    """Each of the four simple rules preserves optimum + offset at every
     position where it fires, on 500 random graphs."""
     t0 = time.time()
-    rules = (mwis.neighborhood_removal, mwis.degree_two_fold,
-             mwis.clique_reduction, mwis.domination, mwis.twin_merge,
-             mwis.clique_neighborhood_removal)
+    rules = (mwis.clique_neighborhood_removal, mwis.degree_two_fold,
+             mwis.domination, mwis.twin_merge)
     rnd = random.Random(0xC2)
     firings = 0
     for trial in range(500):

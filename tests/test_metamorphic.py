@@ -5,7 +5,8 @@ Permuting the vertex ids must not change the optimum, and multiplying every
 weight by k must multiply it by k.  Every rule condition is scale-free, so
 scaling leaves the kernel size as it was too.  Every preset and every
 struction variant reaches the same optimum, and a time-limited solve
-returns an independent set that weighs no more than it.
+returns an independent set that weighs no more than it.  The optimum of a
+disjoint union is the sum of its parts' optima.
 """
 
 import random
@@ -35,6 +36,21 @@ def _relabel(g, perm, k=1):
         for u in g.neighbors(v):
             if v < u:
                 h.add_edge(perm[v], perm[u])
+    return h
+
+
+def _disjoint_union(graphs):
+    """One graph holding each of graphs (ids 0..n-1), with its ids shifted
+    past those of the graphs before it."""
+    weights, edges = [], []
+    for g in graphs:
+        shift = len(weights)
+        for v in g.active_vertices():
+            weights.append(g.weight(v))
+            edges += [(shift + v, shift + u) for u in g.neighbors(v) if v < u]
+    h = mwis.new_graph(len(weights), weights)
+    for a, b in edges:
+        h.add_edge(a, b)
     return h
 
 
@@ -81,3 +97,18 @@ def test_variants_agree_on_the_optimum(seed, n, mode):
         kernel = solve(res.kernel, SolverConfig())
         assert res.offset + kernel.weight == best, variant
         assert verify_lift(g, lift(res.log, kernel.solution), best), variant
+
+
+@pytest.mark.parametrize("mode", ["nonincreasing", "cyclic-fast"])
+def test_disjoint_union_sums_the_optima(mode):
+    """The search splits the union's kernel into components; their optima
+    add up to the sum of the three graphs' optima."""
+    parts = [mwis.random_gnp_graph(n, 5 / n, seed=seed) for seed, n in GRAPHS]
+    best = sum(solve(g, SolverConfig()).weight for g in parts)
+    union = _disjoint_union(parts)
+    assert union.counts() == tuple(map(sum, zip(*(g.counts() for g in parts))))
+    kernel = preprocess(union.copy(), mode).kernel
+    assert len(mwis.components(kernel)) >= 2
+    res = solve(union, SolverConfig(mode=mode))
+    assert res.weight == best
+    assert verify_lift(union, res.solution, res.weight)

@@ -5,31 +5,34 @@ from hypothesis import given, settings, strategies as st
 
 import mwis
 from mwis import (RULE_ORDER, Aborted, DynGraph, ReduceConfig, TransformLog,
-                  clique_neighborhood_removal, clique_reduction,
-                  degree_two_fold, domination, lift, neighborhood_removal,
-                  twin_merge, verify_lift)
+                  clique_neighborhood_removal, degree_two_fold, domination,
+                  lift, twin_merge, verify_lift)
 from mwis.reductions import _must_exceed_cap
 from mwis.struction import count_small_exceeding_sets
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
 from reference import mwis_oracle, random_graph
 
-SIMPLE_RULES = (neighborhood_removal, degree_two_fold, clique_reduction,
-                domination, twin_merge, clique_neighborhood_removal)
+SIMPLE_RULES = (clique_neighborhood_removal, degree_two_fold, domination,
+                twin_merge)
 
 
 # -- single rules ---------------------------------------------------------------
 
+# the neighborhood_removal and clique_reduction tests check the two include
+# rules of Lamm et al. that clique_neighborhood_removal covers
+
 def test_neighborhood_removal_fires_on_heavy_center(s3):
     log = TransformLog()
-    assert neighborhood_removal(s3, 0, log)
+    assert clique_neighborhood_removal(s3, 0, log)
     assert s3.counts() == (0, 0)
     assert log.events == [IncludedVertex(0, 5)]
     assert log.offset == 5
 
 
 def test_neighborhood_removal_skips_light_center(p3a):
-    assert not neighborhood_removal(p3a, 1, TransformLog())  # 3 < 2 + 2
+    # 3 < 2 + 2
+    assert not clique_neighborhood_removal(p3a, 1, TransformLog())
     assert p3a.counts() == (3, 2)
 
 
@@ -57,13 +60,15 @@ def test_degree_two_fold_requires_weight_window():
 
 def test_clique_reduction(k3u):
     log = TransformLog()
-    assert clique_reduction(k3u, 0, log)
+    assert clique_neighborhood_removal(k3u, 0, log)
     assert k3u.counts() == (0, 0)
+    assert log.events == [IncludedVertex(0, 4)]
     assert log.offset == 4
 
 
 def test_clique_reduction_needs_max_weight(k3u):
-    assert not clique_reduction(k3u, 1, TransformLog())  # 2 < 4 next door
+    # 2 < 4 next door
+    assert not clique_neighborhood_removal(k3u, 1, TransformLog())
 
 
 def test_domination():
@@ -122,11 +127,40 @@ def test_clique_neighborhood_removal_beats_plain_removal():
         g.add_edge(0, u)
     g.add_edge(1, 2)
     g.add_edge(3, 4)
-    assert not neighborhood_removal(g.copy(), 0, TransformLog())
+    assert sum(g.weight(u) for u in g.neighbors(0)) > g.weight(0)
     log = TransformLog()
     assert clique_neighborhood_removal(g, 0, log)
     assert g.counts() == (0, 0)
     assert log.offset == 5
+
+
+def test_clique_neighborhood_removal_covers_removal_and_clique_rules():
+    """Wherever neighborhood removal (w(v) >= w(N(v))) or clique reduction
+    (N(v) a clique, v heaviest in N[v]) applies, the cover rule includes v
+    with exactly their event and leaves G - N[v]."""
+    rnd = random.Random(0x5B)
+    seen = {"removal": 0, "clique only": 0}
+    for _ in range(500):
+        n = rnd.randint(1, 12)
+        g0 = random_graph(rnd, n, rnd.choice([0.2, 0.4, 0.7, 0.9]),
+                          wmax=rnd.choice([3, 9]))
+        for v in g0.active_vertices():
+            wv, nbrs = g0.weight(v), g0.neighbors(v)
+            removal = wv >= sum(g0.weight(u) for u in nbrs)
+            clique = (all(g0.weight(u) <= wv for u in nbrs)
+                      and all(g0.is_adjacent(a, b)
+                              for a in nbrs for b in nbrs if a < b))
+            if not (removal or clique):
+                continue
+            seen["removal" if removal else "clique only"] += 1
+            g, log = g0.copy(), TransformLog()
+            assert clique_neighborhood_removal(g, v, log), v
+            assert log.events == [IncludedVertex(v, wv)], v
+            rest = g0.copy()
+            for u in [v, *nbrs]:
+                rest.remove_vertex(u)
+            assert g == rest, v
+    assert min(seen.values()) >= 100, seen
 
 
 def test_clique_neighborhood_removal_respects_bound(c4a):
