@@ -13,11 +13,10 @@ from .struction import (Aborted, NotMinimal, VARIANT_OPS,
                         enumerate_exceeding_sets, extended_reduced_struction,
                         extended_struction, modified_struction,
                         original_struction)
-from .reductions import (KernelResult, RULE_ORDER, ReduceConfig,
-                         clique_neighborhood_removal, decreasing_struction,
-                         degree_two_fold, domination, plateau_struction,
-                         reduce, twin_merge)
-from .blowup import (BlowupConfig, PRESETS, PRESET_CYCLIC_FAST,
+from .reductions import (RULE_ORDER, clique_neighborhood_removal,
+                         decreasing_struction, degree_two_fold, domination,
+                         plateau_struction, twin_merge)
+from .blowup import (BlowupConfig, KernelResult, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
                      cyclic_blow_up, make_blowup_config, preprocess)
 from .solver import (OPTIMAL, SizeLimit, SolveResult, SolverConfig,
@@ -38,11 +37,9 @@ __all__ = [
     "original_struction", "modified_struction", "extended_struction",
     "extended_reduced_struction", "enumerate_exceeding_sets", "VARIANT_OPS",
     "Aborted", "NotMinimal",
-    "reduce", "ReduceConfig", "KernelResult", "RULE_ORDER",
-    "clique_neighborhood_removal", "degree_two_fold", "domination",
-    "twin_merge",
-    "decreasing_struction", "plateau_struction",
-    "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig",
+    "RULE_ORDER", "clique_neighborhood_removal", "degree_two_fold",
+    "domination", "twin_merge", "decreasing_struction", "plateau_struction",
+    "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig", "KernelResult",
     "make_blowup_config", "PRESETS", "PRESET_NONINCREASING",
     "PRESET_CYCLIC_FAST", "PRESET_CYCLIC_STRONG",
     "solve", "SolverConfig", "SolveResult", "components",

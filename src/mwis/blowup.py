@@ -11,8 +11,10 @@ the graph) with full reduction phases:
         else: roll K and the log back and count the phase as unsuccessful
 
 Every accepted phase shrinks K, so K is always the smallest kernel seen.
-The presets differ only in their BlowupConfig; nonincreasing is X = 0,
-plain reduction.
+One BlowupConfig drives the whole cycle: every reduce runs its rules, and
+the structions of both loops share its variant and d_max.  The presets
+differ only in its X, n_max and d_max; nonincreasing is X = 0, plain
+reduction, and cyclic_blow_up is the one entry point that kernelizes.
 
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
@@ -30,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .reductions import KernelResult, ReduceConfig, _reduce_into
+from .reductions import RULE_ORDER, _reduce_into
 from .struction import (VARIANT_OPS, Aborted, NotMinimal,
                         count_small_exceeding_sets)
 from .translog import TransformLog
@@ -48,14 +50,21 @@ PRESET_CYCLIC_STRONG = "cyclic-strong"
 class BlowupConfig:
     X: int = 25                  # max unsuccessful blow-up phases
     n_max: int = 512             # hard cap on vertices created by one struction
-    d_max: int = 64              # max center degree
+    d_max: int = 64              # max struction center degree, in both loops
     beta: float = 2.0            # tightness-check factor
-    variant: str = "extended"
+    variant: str = "extended"    # struction variant, in both loops
+    rules: tuple = RULE_ORDER    # the rules every reduction runs
+
+
+@dataclass
+class KernelResult:
+    kernel: object
+    log: TransformLog
+    stats: dict
 
     @property
-    def reduce_cfg(self):
-        """The reduction every phase runs: same variant and degree cap."""
-        return ReduceConfig(variant=self.variant, d_max=self.d_max)
+    def offset(self):
+        return self.log.offset
 
 
 # preset name -> BlowupConfig fields
@@ -106,15 +115,17 @@ def blow_up(K, bounds, cfg, log):
         if best is None:
             return NO_CANDIDATE, None
         _key, v, b = best
-        tight_cap = math.ceil(cfg.beta * b) - 1
-        cap = min(tight_cap, cfg.n_max)
+        # ceil(beta*b) - 1 >= n_max, compared before rounding: a huge finite
+        # beta makes the product infinite, which has no ceil
+        global_cap = cfg.beta * b > cfg.n_max
+        cap = cfg.n_max if global_cap else math.ceil(cfg.beta * b) - 1
         try:
             out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
             bounds[v] = EXCLUDED
             continue
         if isinstance(out, Aborted):
-            if out.reason == "budget" or tight_cap >= cfg.n_max:
+            if out.reason == "budget" or global_cap:
                 # the cap that failed was the global one (or the enumeration
                 # gave up): shelve v until its neighborhood changes
                 bounds[v] = EXCLUDED
@@ -138,10 +149,9 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
     nothing before its one struction, so its bounds fit the restored graph,
     where the centre is excluded; an accept drops those of struck vertices."""
     cfg = cfg or BlowupConfig()
-    reduce_cfg = cfg.reduce_cfg
     log = TransformLog()
     stats = {}
-    _reduce_into(g, reduce_cfg, log, stats)
+    _reduce_into(g, cfg, log, stats)
     K = g
     stats["initial_kernel_n"] = K.counts()[0]
     stats["blowup_phases"] = 0
@@ -161,7 +171,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
         if status == NO_CANDIDATE:
             break
         stats["blowup_phases"] += 1
-        struck = _reduce_into(K, reduce_cfg, log, stats, seeds=())
+        struck = _reduce_into(K, cfg, log, stats, seeds=())
 
         if K.counts()[0] < pre_n:
             stats["blowup_accepts"] += 1

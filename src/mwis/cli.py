@@ -16,8 +16,9 @@ import sys
 import time
 
 from .blowup import PRESETS, PRESET_NONINCREASING, preprocess
-from .metisio import (ParseError, parse_graph, read_solution, write_graph,
-                      write_kernel, write_solution, write_stats)
+from .metisio import (MAX_TOTAL_WEIGHT, ParseError, parse_graph,
+                      read_solution, write_graph, write_kernel,
+                      write_solution, write_stats)
 from .rng import random_gnp_graph, random_path_graph
 from .solver import (OPTIMAL, SizeLimit, SolverConfig, brute_force_mwis,
                      solve)
@@ -149,6 +150,10 @@ def _gen_cmd(args):
         raise _UsageError(f"--wmin must be >= 1, got {args.wmin}")
     if args.wmin > args.wmax:
         raise _UsageError(f"--wmin {args.wmin} exceeds --wmax {args.wmax}")
+    if args.n * args.wmax > MAX_TOTAL_WEIGHT:
+        raise _UsageError(f"--n {args.n} times --wmax {args.wmax} exceeds "
+                          f"2^64 - 1, the largest total weight a graph "
+                          f"file may carry")
     if args.kind == "gnp":
         if args.p is None:
             raise _UsageError("--p is required for --type gnp")

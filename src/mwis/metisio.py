@@ -8,8 +8,9 @@ Graph file grammar (fmt code 10: vertex weights, no edge weights):
     ...
     w_n  neighbors of vertex n
 
-Every undirected edge must appear in both endpoint lines.  Internally
-vertices are 0-indexed: file id k maps to internal id k-1.
+Every undirected edge must appear in both endpoint lines, and the weights
+may sum to at most MAX_TOTAL_WEIGHT = 2^64 - 1.  Internally vertices are
+0-indexed: file id k maps to internal id k-1.
 
 Kernels are written as a graph file plus a JSON sidecar (offset, kernel-id
 to file-id map, and the serialized transformation log), solutions as a
@@ -22,6 +23,11 @@ import json
 
 from .graph import DynGraph
 from .translog import to_bytes
+
+
+# The transformation log stores weights as u64, and every weight or offset
+# it records is at most the optimum, hence at most the total weight.
+MAX_TOTAL_WEIGHT = (1 << 64) - 1
 
 
 class ParseError(Exception):
@@ -64,6 +70,7 @@ def parse_graph(path):
                          f"file has {len(body)} vertex lines")
 
     weights = []
+    total = 0
     adj = [set() for _ in range(n)]
     lines_of = [0] * n
     for i, (ln, line) in enumerate(body):
@@ -73,6 +80,9 @@ def parse_graph(path):
         w = _to_int(tokens[0], ln, "weight")
         if w < 1:
             raise ParseError(f"line {ln}: weight {w} is below 1")
+        total += w
+        if total > MAX_TOTAL_WEIGHT:
+            raise ParseError(f"line {ln}: total weight passes 2^64 - 1")
         weights.append(w)
         lines_of[i] = ln
         for tok in tokens[1:]:

@@ -8,6 +8,9 @@ structions:
 
 The first also covers the neighborhood removal and clique reduction rules
 of Lamm et al. (ALENEX 2019), which take the same action; see its docstring.
+The pipeline runs inside blowup.cyclic_blow_up (with X = 0 it is the whole
+preprocessing) and in every search node, configured by the cycle's one
+BlowupConfig: _reduce_into reads its rules, variant and d_max.
 
 A dirty-vertex queue drives the fixpoint: every vertex starts dirty with
 every rule marked, and a popped vertex is tested against its marked rules in
@@ -24,11 +27,9 @@ one another in a chain, so they are bounded by 4|V| applications per call.
 """
 
 import heapq
-from dataclasses import dataclass
 
 from .struction import VARIANT_OPS, Aborted, count_small_exceeding_sets
-from .translog import (DegreeTwoFold, ExcludedVertex, IncludedVertex,
-                       TransformLog, TwinMerge)
+from .translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
 RULE_ORDER = (
     "clique_neighborhood_removal",
@@ -38,24 +39,6 @@ RULE_ORDER = (
     "decreasing_struction",
     "plateau_struction",
 )
-
-
-@dataclass
-class ReduceConfig:
-    rules: tuple = RULE_ORDER
-    variant: str = "extended"
-    d_max: int = 64
-
-
-@dataclass
-class KernelResult:
-    kernel: object
-    log: TransformLog
-    stats: dict
-
-    @property
-    def offset(self):
-        return self.log.offset
 
 
 # -- the four simple rules ---------------------------------------------------
@@ -227,15 +210,6 @@ def plateau_struction(g, v, cfg, log):
 
 
 # -- pipeline -------------------------------------------------------------------
-
-def reduce(g, cfg=None):
-    """Reduce g in place to a kernel; returns the kernel with offset and log."""
-    cfg = cfg or ReduceConfig()
-    log = TransformLog()
-    stats = {}
-    _reduce_into(g, cfg, log, stats)
-    return KernelResult(g, log, stats)
-
 
 def _reduce_into(g, cfg, log, stats, seeds=None):
     """Run the pipeline on g, appending events to an existing log.

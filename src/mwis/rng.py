@@ -39,6 +39,9 @@ class SplitMix64:
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > 1 << 64:
+            # no 64-bit draw covers it: the rejection limit would be 0
+            raise ValueError(f"range [{lo}, {hi}] is wider than 2^64")
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             u = self.next_u64()

@@ -30,19 +30,20 @@ reduced.  The second test is skipped when it would repeat the first.
 The offset c is exactly the running TransformLog offset: branching decisions
 are recorded as IncludedVertex/ExcludedVertex events, so any leaf's solution
 can be reconstructed by lifting the log prefix.  Inside the recursion only
-decreasing reductions run (no plateau structions); the configured preset
-applies to the initial preprocessing alone.  Reduce starts from the change
+decreasing reductions run: the preset's BlowupConfig without the plateau
+struction rule, so variant and d_max are the preprocessing's, and blow-up
+phases run in the initial preprocessing alone.  Reduce starts from the change
 record (seeds=()): a child's G was a fixpoint before its branch's removals,
 and the root kernel and each component are fixpoints with empty records.
 """
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import blowup
 from .blowup import PRESET_NONINCREASING
-from .reductions import RULE_ORDER, ReduceConfig, _reduce_into
+from .reductions import RULE_ORDER, _reduce_into
 from .rng import SplitMix64
 from .translog import (ExcludedVertex, IncludedVertex, TransformLog, lift,
                        verify_lift)
@@ -356,9 +357,9 @@ def _branch_vertex(g):
 # -- the search -------------------------------------------------------------------
 
 class _Shared:
-    def __init__(self, deadline, reduce_cfg, stats):
+    def __init__(self, deadline, cfg, stats):
         self.deadline = deadline
-        self.reduce_cfg = reduce_cfg
+        self.cfg = cfg
         self.stats = stats
 
     def check_time(self):
@@ -389,7 +390,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     if checked and log.offset + upper_bound(G) <= inc.W:
         return
     before = len(log)
-    _reduce_into(G, sh.reduce_cfg, log, sh.stats, ())
+    _reduce_into(G, sh.cfg, log, sh.stats, ())
     c = log.offset
     if seed_ls:
         lw, lset = local_search(G)
@@ -452,9 +453,8 @@ def solve(g, cfg=None):
     stats = {"branches": 0, "max_depth": 0}
     stats.update(kres.stats)
     stats["offset"] = kres.offset
-    in_recursion_cfg = ReduceConfig(
-        rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"),
-        variant=bc.variant, d_max=bc.d_max)
+    in_recursion_cfg = replace(
+        bc, rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"))
     sh = _Shared(deadline, in_recursion_cfg, stats)
     inc = _Incumbent()
     status = OPTIMAL

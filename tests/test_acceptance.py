@@ -18,8 +18,8 @@ import time
 import pytest
 
 import mwis
-from mwis import (NotMinimal, ReduceConfig, SolverConfig, TransformLog,
-                  lift, verify_lift)
+from mwis import (NotMinimal, SolverConfig, TransformLog, lift,
+                  verify_lift)
 
 from reference import cycle_mwis, mwis_oracle, path_mwis, random_graph
 
@@ -132,7 +132,7 @@ def test_criterion_4_degree_two_emptiness():
         if cycle:
             g.add_edge(n - 1, 0)
         expect = cycle_mwis(ws) if cycle else path_mwis(ws)
-        res = mwis.reduce(g)
+        res = mwis.preprocess(g)
         assert res.kernel.counts() == (0, 0), (trial, n, cycle)
         assert res.offset == expect, (trial, n, cycle)
         lifted = lift(res.log, set())

@@ -31,24 +31,12 @@ def test_presets():
     for cfg in (plain, fast, strong):
         assert cfg.beta == 2.0
         assert cfg.variant == "extended"
-        assert cfg.reduce_cfg.variant == cfg.variant
-        assert cfg.reduce_cfg.d_max == cfg.d_max
+        assert cfg.rules == mwis.RULE_ORDER
+    cfg = make_blowup_config("cyclic-fast", d_max=7, variant="modified", X=3)
+    assert (cfg.X, cfg.n_max, cfg.d_max, cfg.variant) == (3, 512, 7, "modified")
+    assert make_blowup_config("nonincreasing", X=5, n_max=None).X == 5
     with pytest.raises(ValueError):
         make_blowup_config("turbo")
-
-
-def test_preset_overrides_flow_into_reduce_cfg():
-    cfg = make_blowup_config("cyclic-fast", d_max=7, variant="modified", X=3)
-    assert cfg.X == 3 and cfg.d_max == 7
-    assert cfg.reduce_cfg.d_max == 7
-    assert cfg.reduce_cfg.variant == "modified"
-    assert make_blowup_config("nonincreasing", X=5, n_max=None).X == 5
-
-
-def test_direct_config_drives_reduce_cfg():
-    cfg = BlowupConfig(variant="modified", d_max=7)
-    assert cfg.reduce_cfg.variant == "modified"
-    assert cfg.reduce_cfg.d_max == 7
 
 
 def test_blow_up_picks_cheapest_candidate(c4a):

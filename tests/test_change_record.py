@@ -19,8 +19,7 @@ import random
 import pytest
 
 from mwis import (BlowupConfig, DuplicateEdge, DynGraph, GraphError,
-                  ReduceConfig, blow_up, new_graph, random_gnp_graph,
-                  random_path_graph)
+                  blow_up, new_graph, random_gnp_graph, random_path_graph)
 from mwis.blowup import CHANGED
 from mwis.metisio import parse_graph, write_graph
 from mwis.reductions import (_SIMPLE_RULES, _mark, decreasing_struction,
@@ -89,7 +88,7 @@ def _simple(rule):
 
 
 def _decreasing(variant):
-    cfg = ReduceConfig(variant=variant, d_max=16)
+    cfg = BlowupConfig(variant=variant, d_max=16)
 
     def attempt(g, v, log, rnd):
         return decreasing_struction(g, v, cfg, log)
@@ -97,7 +96,7 @@ def _decreasing(variant):
 
 
 def _plateau(variant):
-    cfg = ReduceConfig(variant=variant, d_max=16)
+    cfg = BlowupConfig(variant=variant, d_max=16)
 
     def attempt(g, v, log, rnd):
         return plateau_struction(g, v, cfg, log)

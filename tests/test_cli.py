@@ -1,3 +1,5 @@
+import base64
+import json
 import shutil
 import subprocess
 
@@ -5,7 +7,8 @@ import pytest
 
 import mwis
 from mwis.cli import (EXIT_OK, EXIT_PARSE, EXIT_TIME_LIMIT, EXIT_USAGE, main)
-from mwis.metisio import parse_graph, read_solution
+from mwis.metisio import parse_graph, read_solution, sidecar_path
+from mwis.translog import from_bytes
 
 P3A_TEXT = "3 2 10\n2 2\n3 1 3\n2 2\n"
 
@@ -49,6 +52,8 @@ def test_gen_gnp_requires_p(tmp_path, capsys):
     (["--wmin", "0", "--wmax", "0"], "--wmin must be >= 1"),
     (["--wmin", "5", "--wmax", "1"], "--wmin 5 exceeds --wmax 1"),
     (["--p", "1.5"], "--p must lie in [0, 1]"),
+    (["--wmax", str(2**64)], "--n 5 times --wmax 18446744073709551616 exceeds"),
+    (["--type", "path", "--n", "1", "--wmax", str(2**65)], "exceeds 2^64 - 1"),
 ])
 def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, bad, message):
     out = tmp_path / "x.graph"
@@ -150,6 +155,38 @@ def test_reduce_mode_and_overrides(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("kernel_n=")
+
+
+def test_gen_accepts_the_largest_total_weight(tmp_path):
+    out = str(tmp_path / "x.graph")
+    top = str(2**64 - 1)
+    assert main(["gen", "--type", "path", "--n", "1", "--wmin", top,
+                 "--wmax", top, "--seed", "1", "--out", out]) == EXIT_OK
+    assert parse_graph(out).weight(0) == 2**64 - 1
+
+
+def _lift_kernel_file(kernel):
+    """Solve a kernel file written by reduce and lift the solution through
+    its sidecar; returns (lifted solution, its claimed weight)."""
+    with open(sidecar_path(kernel), encoding="ascii") as fh:
+        meta = json.load(fh)
+    to_internal = {ext - 1: v for v, ext in meta["id_map"]}
+    res = mwis.solve(parse_graph(kernel))
+    log = from_bytes(base64.b64decode(meta["log"]))
+    lifted = mwis.lift(log, {to_internal[x] for x in res.solution})
+    return lifted, meta["offset"] + res.weight
+
+
+@pytest.mark.parametrize("beta", ("1e308", "1e18", "2"))
+def test_reduce_accepts_any_finite_beta(tmp_path, capsys, beta):
+    graph = str(tmp_path / "g.graph")
+    main(["gen", "--n", "60", "--p", "0.07", "--seed", "8", "--out", graph])
+    kernel = str(tmp_path / "g.kernel")
+    assert main(["reduce", "--in", graph, "--out", kernel, "--mode",
+                 "cyclic-fast", "--beta", beta]) == EXIT_OK
+    lifted, weight = _lift_kernel_file(kernel)
+    assert mwis.verify_lift(parse_graph(graph), lifted, weight)
+    capsys.readouterr()
 
 
 def test_reduce_cyclic_without_phases_is_nonincreasing(tmp_path, capsys):
@@ -254,6 +291,25 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, p3a_file, capsys):
     bad_sol.write_bytes(sol.read_bytes() + b"\xff\n")
     assert main(["verify", "--in", p3a_file, "--sol", str(bad_sol)]) == EXIT_PARSE
     assert capsys.readouterr().err == "parse error: line 4: non-ASCII byte\n"
+
+
+def test_a_total_weight_past_the_log_word_is_a_parse_error(tmp_path, capsys):
+    top = 2**64 - 1
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"2 1 10\n{top + 1} 2\n1 1\n")
+    kernel, sol = tmp_path / "k", tmp_path / "x.sol"
+    for argv in (["reduce", "--in", str(bad), "--out", str(kernel)],
+                 ["solve", "--in", str(bad), "--sol", str(sol)]):
+        assert main(argv) == EXIT_PARSE, argv
+        assert capsys.readouterr().err == (
+            "parse error: line 2: total weight passes 2^64 - 1\n")
+    assert list(tmp_path.iterdir()) == [bad]
+    # at the bound itself the log holds every weight and offset
+    good = tmp_path / "good.graph"
+    good.write_text(f"2 1 10\n{top - 1} 2\n1 1\n")
+    assert main(["reduce", "--in", str(good), "--out", str(kernel)]) == EXIT_OK
+    assert f"offset={top - 1}" in capsys.readouterr().out
+    assert _lift_kernel_file(str(kernel)) == ({0}, top - 1)
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -67,6 +67,23 @@ def test_non_ascii_bytes_are_parse_errors_with_line_numbers(tmp_path):
         read_solution(str(p))
 
 
+def test_total_weight_is_bounded_by_the_log_word(tmp_path):
+    # the transformation log packs weights as u64; no weight or offset it
+    # records exceeds the total weight, so the parser caps that total
+    top = 2**64 - 1
+    g = parse_graph(_write(tmp_path, f"2 1 10\n{top - 1} 2\n1 1\n"))
+    assert g.weight(0) == top - 1
+    cases = [
+        (f"2 1 10\n{top + 1} 2\n1 1\n", "line 2"),
+        (f"% c\n3 0 10\n{2**63}\n{2**63 - 1}\n1\n", "line 5"),
+        (f"2 0 10\n{2**63}\n{2**63}\n", "line 3"),
+    ]
+    for text, line in cases:
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{line}: total weight passes")):
+            parse_graph(_write(tmp_path, text))
+
+
 def test_one_sided_edge_rejected(tmp_path):
     text = "2 1 10\n4 2\n5\n"
     with pytest.raises(ParseError, match="not listed on vertex 2"):
@@ -101,7 +118,7 @@ def test_round_trip_random_graphs(tmp_path):
 
 
 def test_write_kernel_sidecar(tmp_path, s3):
-    res = mwis.reduce(s3.copy())
+    res = mwis.preprocess(s3.copy())
     path = str(tmp_path / "kernel.graph")
     write_kernel(res, path)
     assert (tmp_path / "kernel.graph").read_text() == "0 0 10\n"

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (RULE_ORDER, Aborted, DynGraph, ReduceConfig, TransformLog,
-                  clique_neighborhood_removal, degree_two_fold, domination,
-                  lift, twin_merge, verify_lift)
+from mwis import (RULE_ORDER, Aborted, BlowupConfig, DynGraph, TransformLog,
+                  clique_neighborhood_removal, cyclic_blow_up,
+                  degree_two_fold, domination, lift, twin_merge, verify_lift)
 from mwis.reductions import _must_exceed_cap
 from mwis.struction import count_small_exceeding_sets
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
@@ -171,7 +171,7 @@ def test_clique_neighborhood_removal_respects_bound(c4a):
 # -- struction-backed rules ------------------------------------------------------
 
 def test_decreasing_struction_pure_removal(s3):
-    cfg = ReduceConfig(variant="original")
+    cfg = BlowupConfig(variant="original")
     log = TransformLog()
     # leaf 1 is minimal in N[1]; no non-adjacent pairs, so cap 0 suffices
     assert mwis.decreasing_struction(s3, 1, cfg, log)
@@ -182,7 +182,7 @@ def test_decreasing_struction_pure_removal(s3):
 
 def test_decreasing_struction_rejects_growth(c4a):
     # extended at center 1 would create as many vertices as it removes
-    cfg = ReduceConfig(variant="extended")
+    cfg = BlowupConfig(variant="extended")
     before = c4a.counts()[0]
     fired = mwis.decreasing_struction(c4a, 1, cfg, TransformLog())
     if fired:
@@ -196,8 +196,8 @@ def test_struction_cap_precheck_skips_only_certain_aborts():
     # decreasing (deg) or plateau (deg + 1) struction, the full extended
     # struction must abort; the stopped count agrees with the full one
     # up to the cap
-    extended = ReduceConfig(variant="extended")
-    reduced = ReduceConfig(variant="extended_reduced")
+    extended = BlowupConfig(variant="extended")
+    reduced = BlowupConfig(variant="extended_reduced")
     skipped = kept = 0
     for seed in range(60):
         rnd = random.Random(seed)
@@ -221,26 +221,26 @@ def test_struction_cap_precheck_skips_only_certain_aborts():
 # -- pipeline -----------------------------------------------------------------
 
 def test_star_reduces_to_empty(s3):
-    res = mwis.reduce(s3)
+    res = mwis.preprocess(s3)
     assert res.kernel.counts() == (0, 0)
     assert res.offset == 5
     assert verify_lift(_star(), lift(res.log, set()), 5)
 
 
 def test_path_reduces_to_empty(p3a):
-    res = mwis.reduce(p3a)
+    res = mwis.preprocess(p3a)
     assert res.kernel.counts() == (0, 0)
     assert res.offset == 4
 
 
 def test_triangle_reduces_to_empty(k3u):
-    res = mwis.reduce(k3u)
+    res = mwis.preprocess(k3u)
     assert res.kernel.counts() == (0, 0)
     assert res.offset == 4
 
 
 def test_cycle_reduces_to_empty(c4a):
-    res = mwis.reduce(c4a)
+    res = mwis.preprocess(c4a)
     assert res.kernel.counts() == (0, 0)
     assert res.offset == 4
     lifted = lift(res.log, set())
@@ -266,17 +266,18 @@ def test_zero_weight_vertices_swept():
     g.add_vertex(0)
     g.add_vertex(3)
     g.add_edge(0, 1)
-    res = mwis.reduce(g)
+    res = mwis.preprocess(g)
     assert ExcludedVertex(0) in res.log.events
     assert res.offset == 3
     assert res.kernel.counts() == (0, 0)
 
 
 def test_restricted_rule_set_leaves_kernel(s3):
-    res = mwis.reduce(s3, ReduceConfig(rules=("domination",)))
+    res = cyclic_blow_up(s3, BlowupConfig(X=0, rules=("domination",)))
     assert res.kernel.counts() == (4, 3)
     assert res.offset == 0
-    assert res.stats == {}
+    assert not any(rule in res.stats for rule in RULE_ORDER)
+    assert res.stats["blowup_phases"] == 0
 
 
 def test_plateau_disabled_never_fires():
@@ -284,7 +285,7 @@ def test_plateau_disabled_never_fires():
     for _ in range(20):
         g = random_graph(rnd, 12, 0.3, wmax=9)
         rules = tuple(r for r in RULE_ORDER if r != "plateau_struction")
-        res = mwis.reduce(g, ReduceConfig(rules=rules))
+        res = cyclic_blow_up(g, BlowupConfig(X=0, rules=rules))
         assert "plateau_struction" not in res.stats
 
 
@@ -292,9 +293,9 @@ def test_reduce_is_idempotent():
     rnd = random.Random(3)
     for _ in range(25):
         g = random_graph(rnd, 14, 0.25, wmax=50)
-        first = mwis.reduce(g)
+        first = mwis.preprocess(g)
         k = first.kernel.copy()
-        second = mwis.reduce(first.kernel)
+        second = mwis.preprocess(first.kernel)
         assert second.kernel == k
         assert len(second.log) == 0
 
@@ -305,7 +306,7 @@ def test_reduce_is_idempotent():
 def test_pipeline_preserves_weight_and_never_grows(seed, n, p):
     rnd = random.Random(seed)
     g0 = random_graph(rnd, n, p, wmax=30)
-    res = mwis.reduce(g0.copy())
+    res = mwis.preprocess(g0.copy())
     assert res.kernel.counts()[0] <= n
     kw, ks = (0, set()) if res.kernel.counts()[0] == 0 else \
         mwis.brute_force_mwis(res.kernel, size_limit=200)

@@ -39,6 +39,15 @@ def test_randint_degenerate_range():
         r.randint(3, 2)
 
 
+def test_randint_refuses_a_range_wider_than_the_draw():
+    # 2^64 values are the widest range one 64-bit draw covers
+    r, raw = SplitMix64(5), SplitMix64(5)
+    assert r.randint(1, 2**64) == raw.next_u64() + 1
+    for lo, hi in ((0, 2**64), (1, 2**65), (-2**70, 2**70)):
+        with pytest.raises(ValueError, match="wider than 2"):
+            r.randint(lo, hi)
+
+
 def test_randint_roughly_uniform():
     r = SplitMix64(99)
     counts = Counter(r.randint(0, 9) for _ in range(20000))

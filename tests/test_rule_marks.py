@@ -20,7 +20,7 @@ import pytest
 
 import mwis
 from mwis import reductions
-from mwis import RULE_ORDER, BlowupConfig, ReduceConfig, blow_up
+from mwis import RULE_ORDER, BlowupConfig, blow_up
 from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED
 from mwis.reductions import (_SIMPLE_RULES, _reduce_into,
@@ -164,7 +164,7 @@ def _tie_graphs(seed, count):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("rules", RULE_SETS, ids=("plateau", "no_plateau"))
 def test_marks_match_all_rules_queue_on_tie_graphs(variant, rules):
-    cfg = ReduceConfig(rules=rules, variant=variant, d_max=16)
+    cfg = BlowupConfig(rules=rules, variant=variant, d_max=16)
     fired = {}
     for g in _tie_graphs(0x7A1, 60):
         for rule, k in _assert_same(g, cfg).items():
@@ -178,9 +178,9 @@ def test_marks_match_all_rules_queue_with_cheap_rule_subsets():
     rnd = random.Random(0x5B)
     for g in _tie_graphs(0x5C, 60):
         rules = tuple(r for r in RULE_ORDER if rnd.random() < 0.5)
-        _assert_same(g, ReduceConfig(rules=rules))
+        _assert_same(g, BlowupConfig(rules=rules))
         # domination and twin alone, the rules with the refined marks
-        _assert_same(g, ReduceConfig(rules=("domination", "twin")))
+        _assert_same(g, BlowupConfig(rules=("domination", "twin")))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -188,8 +188,7 @@ def test_marks_match_all_rules_queue_with_cheap_rule_subsets():
 def test_marks_match_all_rules_queue_after_blow_up(variant, rules):
     """Re-reduction from the record a blow-up phase leaves: clique peels
     by domination."""
-    cfg = ReduceConfig(rules=rules, variant=variant, d_max=16)
-    bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
+    cfg = BlowupConfig(n_max=64, d_max=16, variant=variant, rules=rules)
     rnd = random.Random(0xB10)
     phases = 0
     for _ in range(12):
@@ -199,7 +198,7 @@ def test_marks_match_all_rules_queue_after_blow_up(variant, rules):
         _reduce_into(g, cfg, log, {})
         bounds = {}
         for _phase in range(6):
-            status, _center = blow_up(g, bounds, bcfg, log)
+            status, _center = blow_up(g, bounds, cfg, log)
             if status != CHANGED:
                 break
             phases += 1
@@ -260,7 +259,7 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
         monkeypatch.setattr(reductions, name,
                             watched(name, getattr(reductions, name), True))
 
-    cfg = ReduceConfig(variant=variant, d_max=16)
+    cfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
 
     def reduce_once(g, log, seeds=None):
         last.clear()
@@ -268,7 +267,6 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
 
     for g in _tie_graphs(0x7A1, 60):
         reduce_once(g, TransformLog())
-    bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     rnd = random.Random(0xB10)
     phases = 0
     for _ in range(12):
@@ -278,7 +276,7 @@ def test_no_struction_attempt_repeats_on_an_unchanged_neighborhood(
         reduce_once(g, log)
         bounds = {}
         for _phase in range(6):
-            status, _center = blow_up(g, bounds, bcfg, log)
+            status, _center = blow_up(g, bounds, cfg, log)
             if status != CHANGED:
                 break
             phases += 1
@@ -305,7 +303,7 @@ def test_returned_vertices_cover_every_changed_neighborhood(variant):
     the blow-up cycle keeps a candidate's bound everywhere else.  Checked
     on the tie graphs, on re-reductions after a search branch removes v or
     N[v] from a fixpoint, and on re-reductions after blow-up phases."""
-    cfg = ReduceConfig(variant=variant, d_max=16)
+    cfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     calls = changed = 0
     for g in _tie_graphs(0x7A1, 60):
         # every vertex is new, so every survivor must be returned
@@ -327,7 +325,6 @@ def test_returned_vertices_cover_every_changed_neighborhood(variant):
                 struck = _reduce_into(h, cfg, TransformLog(), {}, ())
                 changed += _assert_covers(h, before, struck)
                 calls += 1
-    bcfg = BlowupConfig(n_max=64, d_max=16, variant=variant)
     rnd = random.Random(0xB10)
     phases = 0
     for _ in range(12):
@@ -337,7 +334,7 @@ def test_returned_vertices_cover_every_changed_neighborhood(variant):
         bounds = {}
         for _phase in range(6):
             before = _states(g)
-            status, _center = blow_up(g, bounds, bcfg, TransformLog())
+            status, _center = blow_up(g, bounds, cfg, TransformLog())
             if status != CHANGED:
                 break
             struck = _reduce_into(g, cfg, TransformLog(), {}, ())
@@ -402,7 +399,7 @@ def test_a_branch_re_reduction_reaches_a_fixpoint():
     """After a branch removes v, or N[v], from a fixpoint of the search's
     rules, the re-reduction from the record leaves no rule that applies
     anywhere: a pass that re-tests every vertex records nothing."""
-    cfg = ReduceConfig(rules=RULE_SETS[1])
+    cfg = BlowupConfig(rules=RULE_SETS[1])
     rnd = random.Random(0xB4)
     branches = fired = 0
     for _ in range(20):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (OPTIMAL, ReduceConfig, SizeLimit, SolverConfig,
+from mwis import (OPTIMAL, BlowupConfig, SizeLimit, SolverConfig,
                   TIME_LIMIT, brute_force_mwis, components, local_search,
                   solve, upper_bound, verify_lift)
 from mwis import solver
@@ -237,8 +237,28 @@ def test_solve_over_components_with_zero_weight_parts(monkeypatch):
     assert len(searched) >= 8
 
     # a component that weighs nothing is still solved, not pruned unsolved
-    sh = solver._Shared(None, ReduceConfig(), {"branches": 0, "max_depth": 0})
+    sh = solver._Shared(None, BlowupConfig(), {"branches": 0, "max_depth": 0})
     assert real(zero, sh) == (0, set())
+
+
+@pytest.mark.parametrize("mode", ("nonincreasing", "cyclic-fast"))
+def test_the_search_runs_no_plateau_struction(monkeypatch, mode):
+    """solve attempts exactly the plateau structions of its preprocessing:
+    its search nodes reduce without that rule."""
+    calls = []
+    plateau = mwis.reductions.plateau_struction
+
+    def counted(*args):
+        calls.append(args[1])
+        return plateau(*args)
+
+    monkeypatch.setattr(mwis.reductions, "plateau_struction", counted)
+    g = mwis.random_gnp_graph(45, 0.15, seed=1)
+    mwis.preprocess(g.copy(), mode)
+    alone = len(calls)
+    res = solve(g, SolverConfig(mode=mode))
+    assert res.stats["branches"] > 0 and alone > 0
+    assert len(calls) - alone == alone
 
 
 def test_bound_at_node_entry_skips_reductions(monkeypatch):
