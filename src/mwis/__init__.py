@@ -19,9 +19,9 @@ from .reductions import (RULE_ORDER, clique_neighborhood_removal,
 from .blowup import (BlowupConfig, KernelResult, PRESETS, PRESET_CYCLIC_FAST,
                      PRESET_CYCLIC_STRONG, PRESET_NONINCREASING, blow_up,
                      cyclic_blow_up, make_blowup_config, preprocess)
-from .solver import (OPTIMAL, SizeLimit, SolveResult, SolverConfig,
-                     TIME_LIMIT, brute_force_mwis, components,
-                     local_search, solve, upper_bound)
+from .solver import (OPTIMAL, SizeLimit, SolveResult, TIME_LIMIT,
+                     brute_force_mwis, components, local_search, solve,
+                     upper_bound)
 from .metisio import (ParseError, parse_graph, read_solution, write_graph,
                       write_kernel, write_solution, write_stats)
 from .rng import (SplitMix64, assign_random_weights, random_gnp_graph,
@@ -42,7 +42,7 @@ __all__ = [
     "blow_up", "cyclic_blow_up", "preprocess", "BlowupConfig", "KernelResult",
     "make_blowup_config", "PRESETS", "PRESET_NONINCREASING",
     "PRESET_CYCLIC_FAST", "PRESET_CYCLIC_STRONG",
-    "solve", "SolverConfig", "SolveResult", "components",
+    "solve", "SolveResult", "components",
     "upper_bound", "local_search", "brute_force_mwis", "SizeLimit",
     "OPTIMAL", "TIME_LIMIT",
     "parse_graph", "write_graph", "write_kernel", "write_solution",

@@ -18,17 +18,15 @@ reduction, and cyclic_blow_up is the one entry point that kernelizes.
 
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
-at most two.  A struction attempt is capped at min(ceil(beta*bound) - 1,
-n_max); a cap abort below n_max raises the bound to max(ceil(beta*bound),
-2*bound, bound + 1), which at least doubles it for every beta, and retries
-later (tightness check), so a centre is retried O(log(n_max / beta)) times;
-anything else excludes the vertex (EXCLUDED).  An attempt reads only the
-weighted G[N[v]], its cap and the variant, so a bound or exclusion stands
-while G[N[v]] stands, as in the reduction; under the original and modified
+at most two.  A struction attempt is capped at min(2*bound - 1, n_max); a
+cap abort below n_max raises the bound to max(2*bound, 1) and retries later
+(tightness check), so a centre is retried O(log n_max) times; anything else
+excludes the vertex (EXCLUDED).  An attempt reads only the weighted
+G[N[v]], its cap and the variant, so a bound or exclusion stands while
+G[N[v]] stands, as in the reduction; under the original and modified
 variants G[N[v]] can return to an earlier state and repeat a failure.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -51,7 +49,6 @@ class BlowupConfig:
     X: int = 25                  # max unsuccessful blow-up phases
     n_max: int = 512             # hard cap on vertices created by one struction
     d_max: int = 64              # max struction center degree, in both loops
-    beta: float = 2.0            # tightness-check factor
     variant: str = "extended"    # struction variant, in both loops
     rules: tuple = RULE_ORDER    # the rules every reduction runs
 
@@ -115,24 +112,21 @@ def blow_up(K, bounds, cfg, log):
         if best is None:
             return NO_CANDIDATE, None
         _key, v, b = best
-        # ceil(beta*b) - 1 >= n_max, compared before rounding: a huge finite
-        # beta makes the product infinite, which has no ceil
-        global_cap = cfg.beta * b > cfg.n_max
-        cap = cfg.n_max if global_cap else math.ceil(cfg.beta * b) - 1
+        cap = min(2 * b - 1, cfg.n_max)
         try:
             out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
             bounds[v] = EXCLUDED
             continue
         if isinstance(out, Aborted):
-            if out.reason == "budget" or global_cap:
+            if out.reason == "budget" or cap == cfg.n_max:
                 # the cap that failed was the global one (or the enumeration
                 # gave up): shelve v until its neighborhood changes
                 bounds[v] = EXCLUDED
             else:
-                # tightness failure: retry later with a bound at least
-                # doubled, whatever beta is; b + 1 lifts the L = 0 bound
-                bounds[v] = max(math.ceil(cfg.beta * b), 2 * b, b + 1)
+                # tightness failure: retry later with the bound doubled; 1
+                # lifts the L = 0 bound
+                bounds[v] = max(2 * b, 1)
             continue
         return CHANGED, v
 
@@ -188,7 +182,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
     return KernelResult(K, log, stats)
 
 
-def preprocess(g, mode=PRESET_NONINCREASING, deadline=None, **overrides):
+def preprocess(g, mode=PRESET_NONINCREASING, **overrides):
     """Reduce g (consumed) under the named preset; overrides that are not
     None replace individual BlowupConfig fields."""
-    return cyclic_blow_up(g, make_blowup_config(mode, **overrides), deadline)
+    return cyclic_blow_up(g, make_blowup_config(mode, **overrides))

@@ -9,7 +9,6 @@ file, 3 time limit hit (a best-effort solution was still written).
 """
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -20,8 +19,7 @@ from .metisio import (MAX_TOTAL_WEIGHT, ParseError, parse_graph,
                       read_solution, write_graph, write_kernel,
                       write_solution, write_stats)
 from .rng import random_gnp_graph, random_path_graph
-from .solver import (OPTIMAL, SizeLimit, SolverConfig, brute_force_mwis,
-                     solve)
+from .solver import OPTIMAL, SizeLimit, brute_force_mwis, solve
 from .struction import VARIANT_OPS
 from .translog import first_violation
 
@@ -60,7 +58,6 @@ def build_parser():
     red.add_argument("--dmax", type=int, default=None)
     red.add_argument("--unsucc", type=int, default=None,
                      help="max unsuccessful blow-up phases (X)")
-    red.add_argument("--beta", type=float, default=None)
     red.add_argument("--variant", choices=sorted(VARIANT_OPS), default=None)
     red.add_argument("--stats", dest="stats", default=None)
 
@@ -97,21 +94,17 @@ def _reduce_cmd(args):
                         ("--unsucc", args.unsucc)):
         if value is not None and value < 0:
             raise _UsageError(f"{flag} must be >= 0, got {value}")
-    if args.beta is not None and not 0 < args.beta < math.inf:
-        raise _UsageError(
-            f"--beta must be positive and finite, got {args.beta}")
     g = parse_graph(args.infile)
     t0 = time.monotonic()
     kres = preprocess(g, args.mode, X=args.unsucc, n_max=args.nmax,
-                      d_max=args.dmax, beta=args.beta, variant=args.variant)
+                      d_max=args.dmax, variant=args.variant)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     write_kernel(kres, args.outfile)
     n, m = kres.kernel.counts()
     print(f"reduce_ms={elapsed_ms}", file=sys.stderr)
     if args.stats:
         stats = {"instance": os.path.basename(args.infile), "mode": args.mode,
-                 "seed": 0, "kernel_n": n, "kernel_m": m,
-                 "offset": kres.offset}
+                 "kernel_n": n, "kernel_m": m, "offset": kres.offset}
         if n == 0:
             stats["weight"] = kres.offset
             stats["status"] = OPTIMAL
@@ -126,15 +119,14 @@ def _solve_cmd(args):
         raise _UsageError(
             f"--time-limit must be a number >= 0, got {args.time_limit}")
     g = parse_graph(args.infile)
-    cfg = SolverConfig(mode=args.mode, time_limit=args.time_limit)
     t0 = time.monotonic()
-    res = solve(g, cfg)
+    res = solve(g, args.mode, args.time_limit)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     write_solution(args.solfile, res.weight, res.solution)
     print(f"solve_ms={elapsed_ms}", file=sys.stderr)
     if args.stats:
         stats = {"instance": os.path.basename(args.infile), "mode": args.mode,
-                 "seed": 0, "kernel_n": res.stats["kernel_n"],
+                 "kernel_n": res.stats["kernel_n"],
                  "kernel_m": res.stats["kernel_m"],
                  "offset": res.stats["offset"], "weight": res.weight,
                  "status": res.status, "branches": res.stats["branches"]}

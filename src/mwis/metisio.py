@@ -9,13 +9,14 @@ Graph file grammar (fmt code 10: vertex weights, no edge weights):
     w_n  neighbors of vertex n
 
 Every undirected edge must appear in both endpoint lines, and the weights
-may sum to at most MAX_TOTAL_WEIGHT = 2^64 - 1.  Internally vertices are
-0-indexed: file id k maps to internal id k-1.
+may sum to at most MAX_TOTAL_WEIGHT = 2^64 - 1.  Blank lines may follow the
+last vertex line.  Internally vertices are 0-indexed: file id k maps to
+internal id k-1.
 
 Kernels are written as a graph file plus a JSON sidecar (offset, kernel-id
-to file-id map, and the serialized transformation log), solutions as a
-"%weight W" comment followed by ascending 1-indexed vertex ids, and run
-statistics as flat key=value lines.
+to file-id map, and the serialized transformation log), solutions as one
+"%weight W" comment followed by distinct ascending 1-indexed vertex ids,
+and run statistics as flat key=value lines.
 """
 
 import base64
@@ -65,6 +66,9 @@ def parse_graph(path):
     n = _to_int(tokens[0], lineno, "vertex count")
     m = _to_int(tokens[1], lineno, "edge count")
     body = entries[1:]
+    # a vertex line has a weight, so blank lines at the end are no vertices
+    while body and not body[-1][1].strip():
+        body.pop()
     if len(body) != n:
         raise ParseError(f"line {lineno}: header announces {n} vertices, "
                          f"file has {len(body)} vertex lines")
@@ -169,19 +173,23 @@ def read_solution(path):
         if line.startswith("%"):
             tokens = line[1:].split()
             if len(tokens) == 2 and tokens[0] == "weight":
+                if weight is not None:
+                    raise ParseError(f"line {lineno}: second %weight line")
                 weight = _to_int(tokens[1], lineno, "weight")
             continue
         v = _to_int(line, lineno, "vertex id")
         if v < 1:
             raise ParseError(f"line {lineno}: vertex id {v} is below 1")
+        if v - 1 in ids:
+            raise ParseError(f"line {lineno}: vertex id {v} repeats")
         ids.add(v - 1)
     if weight is None:
         raise ParseError("missing %weight header line")
     return weight, ids
 
 
-_STATS_ORDER = ("instance", "mode", "seed", "kernel_n", "kernel_m",
-                "offset", "weight", "status")
+_STATS_ORDER = ("instance", "mode", "kernel_n", "kernel_m", "offset",
+                "weight", "status")
 
 
 def write_stats(path, stats):

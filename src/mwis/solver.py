@@ -63,12 +63,6 @@ class _Timeout(Exception):
 
 
 @dataclass
-class SolverConfig:
-    mode: str = PRESET_NONINCREASING   # preprocessing preset
-    time_limit: float | None = None    # seconds; None means unlimited
-
-
-@dataclass
 class SolveResult:
     weight: int
     solution: set
@@ -440,12 +434,13 @@ def _solve_subgraph(comp, sh):
     return inc.W, inc.solution
 
 
-def solve(g, cfg=None):
-    """Exact MWIS of g.  The graph is copied, never mutated."""
-    cfg = cfg or SolverConfig()
-    deadline = (time.monotonic() + cfg.time_limit
-                if cfg.time_limit is not None else None)
-    bc = blowup.make_blowup_config(cfg.mode)
+def solve(g, mode=PRESET_NONINCREASING, time_limit=None):
+    """Exact MWIS of g, preprocessed under the named preset.  The graph is
+    copied, never mutated.  time_limit is in seconds; None means
+    unlimited."""
+    deadline = (time.monotonic() + time_limit
+                if time_limit is not None else None)
+    bc = blowup.make_blowup_config(mode)
     kres = blowup.cyclic_blow_up(g.copy(), bc, deadline)
     K = kres.kernel
     log = kres.log

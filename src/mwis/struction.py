@@ -200,10 +200,10 @@ def _pair_struction(g, v, cap, log, modified):
     for u in nbrs:
         g.set_weight(u, w[u] - wv)
     if modified:
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if b not in nbs[a]:
-                    g.add_edge(a, b)
+        # the writes above touch no edge inside N(v), so pairs still lists
+        # exactly its missing edges
+        for x, y in pairs:
+            g.add_edge(x, y)
 
     event = Struction("modified" if modified else "original", v, wv,
                       tuple(nbrs), ((v, wv),), tuple(created))

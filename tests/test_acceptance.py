@@ -18,8 +18,7 @@ import time
 import pytest
 
 import mwis
-from mwis import (NotMinimal, SolverConfig, TransformLog, lift,
-                  verify_lift)
+from mwis import NotMinimal, TransformLog, lift, verify_lift
 
 from reference import cycle_mwis, mwis_oracle, path_mwis, random_graph
 
@@ -107,7 +106,7 @@ def test_criterion_3_pipeline_exactness():
             assert ow == mwis_oracle(g, limit=12)[0], trial
             cross_checked += 1
         for mode in mwis.PRESETS:
-            res = mwis.solve(g.copy(), SolverConfig(mode=mode))
+            res = mwis.solve(g.copy(), mode)
             assert res.status == mwis.OPTIMAL, (trial, mode)
             assert res.weight == ow, (trial, mode, res.weight, ow)
             assert verify_lift(g, res.solution, res.weight), (trial, mode)

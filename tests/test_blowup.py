@@ -1,5 +1,5 @@
-import math
 import random
+from dataclasses import fields
 import time
 
 import pytest
@@ -29,7 +29,6 @@ def test_presets():
     strong = make_blowup_config("cyclic-strong")
     assert (strong.X, strong.n_max, strong.d_max) == (64, 2048, 512)
     for cfg in (plain, fast, strong):
-        assert cfg.beta == 2.0
         assert cfg.variant == "extended"
         assert cfg.rules == mwis.RULE_ORDER
     cfg = make_blowup_config("cyclic-fast", d_max=7, variant="modified", X=3)
@@ -102,19 +101,27 @@ def _count_attempts(monkeypatch, limit):
     return calls
 
 
-@pytest.mark.parametrize("beta", (1.0, 0.5, 0.1))
-def test_blow_up_tightness_retry_doubles_bound_for_small_beta(monkeypatch,
-                                                              beta):
-    cfg = BlowupConfig(n_max=512, beta=beta)
-    # each retry at least doubles the bound, so the tight cap passes
-    # n_max within about log2(n_max) retries whatever beta is
-    calls = _count_attempts(monkeypatch, math.ceil(math.log2(cfg.n_max)) + 2)
+@pytest.mark.parametrize("n_max, caps, status", [
+    (512, [(0, 19), (0, 39)], CHANGED),
+    (25, [(0, 19), (0, 25)], NO_CANDIDATE),
+    (19, [(0, 19)], NO_CANDIDATE),
+])
+def test_blow_up_retry_caps(monkeypatch, n_max, caps, status):
+    """L = 10 on _pair_bomb(5), which needs 26 vertices: the caps are
+    min(2*bound - 1, n_max) with the bound doubled per retry, and a failure
+    at the n_max cap excludes the centre."""
+    calls = _count_attempts(monkeypatch, 4)
     g = _pair_bomb(5)
     bounds = dict.fromkeys(range(1, 6), EXCLUDED)
-    status, center = blow_up(g, bounds, cfg, TransformLog())
-    assert status == CHANGED and center == 0
-    assert g.counts()[0] == 26
-    assert {v for v, _cap in calls} == {0}
+    assert blow_up(g, bounds, BlowupConfig(n_max=n_max),
+                   TransformLog())[0] == status
+    assert calls == caps
+    assert (bounds[0] is EXCLUDED) == (status == NO_CANDIDATE)
+
+
+def test_blowup_config_fields():
+    assert {f.name for f in fields(BlowupConfig)} == {
+        "X", "n_max", "d_max", "variant", "rules"}
 
 
 def test_blow_up_retries_a_zero_bound(monkeypatch):

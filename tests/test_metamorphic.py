@@ -14,7 +14,7 @@ import random
 import pytest
 
 import mwis
-from mwis import TIME_LIMIT, SolverConfig, lift, preprocess, solve, verify_lift
+from mwis import TIME_LIMIT, lift, preprocess, solve, verify_lift
 
 # (seed, n) of sparse gnp graphs (average degree 5) whose kernels are
 # not empty under nonincreasing, so the search runs
@@ -59,12 +59,11 @@ def _disjoint_union(graphs):
 def test_optimum_survives_relabelling_and_scales_with_the_weights(seed, n,
                                                                  mode):
     g = mwis.random_gnp_graph(n, 5 / n, seed=seed)
-    cfg = SolverConfig(mode=mode)
-    base = solve(g, cfg)
+    base = solve(g, mode)
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    assert solve(_relabel(g, perm), cfg).weight == base.weight
-    scaled = solve(_relabel(g, list(range(n)), SCALE), cfg)
+    assert solve(_relabel(g, perm), mode).weight == base.weight
+    scaled = solve(_relabel(g, list(range(n)), SCALE), mode)
     assert scaled.weight == SCALE * base.weight
     assert scaled.stats["kernel_n"] == base.stats["kernel_n"]
 
@@ -75,11 +74,11 @@ def test_presets_agree_and_a_time_limit_stays_below_the_optimum(seed, n):
     modes = ["nonincreasing", "cyclic-fast"]
     if (seed, n) in STRONG_GRAPHS:
         modes.append("cyclic-strong")
-    best = solve(g, SolverConfig()).weight
+    best = solve(g).weight
     for mode in modes[1:]:
-        assert solve(g, SolverConfig(mode=mode)).weight == best, mode
+        assert solve(g, mode).weight == best, mode
     # a zero limit stops the search at its first node
-    res = solve(g, SolverConfig(time_limit=0))
+    res = solve(g, time_limit=0)
     assert res.status == TIME_LIMIT
     assert res.weight <= best
     assert verify_lift(g, res.solution, res.weight)
@@ -91,10 +90,10 @@ def test_variants_agree_on_the_optimum(seed, n, mode):
     """Each struction variant's kernel, solved and lifted, weighs the
     optimum and is an independent set of the input."""
     g = mwis.random_gnp_graph(n, 5 / n, seed=seed)
-    best = solve(g, SolverConfig()).weight
+    best = solve(g).weight
     for variant in ("original", "modified", "extended", "extended_reduced"):
         res = preprocess(g.copy(), mode, variant=variant)
-        kernel = solve(res.kernel, SolverConfig())
+        kernel = solve(res.kernel)
         assert res.offset + kernel.weight == best, variant
         assert verify_lift(g, lift(res.log, kernel.solution), best), variant
 
@@ -104,11 +103,11 @@ def test_disjoint_union_sums_the_optima(mode):
     """The search splits the union's kernel into components; their optima
     add up to the sum of the three graphs' optima."""
     parts = [mwis.random_gnp_graph(n, 5 / n, seed=seed) for seed, n in GRAPHS]
-    best = sum(solve(g, SolverConfig()).weight for g in parts)
+    best = sum(solve(g).weight for g in parts)
     union = _disjoint_union(parts)
     assert union.counts() == tuple(map(sum, zip(*(g.counts() for g in parts))))
     kernel = preprocess(union.copy(), mode).kernel
     assert len(mwis.components(kernel)) >= 2
-    res = solve(union, SolverConfig(mode=mode))
+    res = solve(union, mode)
     assert res.weight == best
     assert verify_lift(union, res.solution, res.weight)

@@ -84,6 +84,15 @@ def test_total_weight_is_bounded_by_the_log_word(tmp_path):
             parse_graph(_write(tmp_path, text))
 
 
+def test_blank_lines_after_the_last_vertex_line_are_ignored(tmp_path):
+    g = parse_graph(_write(tmp_path, P3A_TEXT + "\n  \n\t\n"))
+    assert g.counts() == (3, 2)
+    # among the vertex lines a blank line is still a vertex without weight
+    with pytest.raises(ParseError,
+                       match=re.escape("line 3: vertex line needs a weight")):
+        parse_graph(_write(tmp_path, "3 1 10\n5 3\n\n5 1\n"))
+
+
 def test_one_sided_edge_rejected(tmp_path):
     text = "2 1 10\n4 2\n5\n"
     with pytest.raises(ParseError, match="not listed on vertex 2"):
@@ -163,6 +172,16 @@ def test_read_solution_requires_weight_header(tmp_path):
     p2.write_text("%weight 4\n0\n")
     with pytest.raises(ParseError):
         read_solution(str(p2))
+
+
+def test_read_solution_rejects_repeats(tmp_path):
+    p = tmp_path / "bad.sol"
+    for text, fragment in (("%weight 5\n1\n1\n", "line 3: vertex id 1 repeats"),
+                           ("%weight 4\n1\n%weight 5\n3\n",
+                            "line 3: second %weight line")):
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(fragment)):
+            read_solution(str(p))
 
 
 def test_write_stats_canonical_order(tmp_path):

@@ -10,14 +10,13 @@ bounds below and says so.
 import random
 
 import mwis
-from mwis import SolverConfig, solve, upper_bound
+from mwis import solve, upper_bound
 
 from reference import random_graph
 
 
 def test_branch_count_and_kernel_sizes_are_pinned():
-    res = solve(mwis.random_gnp_graph(45, 0.15, seed=1),
-                SolverConfig(mode="nonincreasing"))
+    res = solve(mwis.random_gnp_graph(45, 0.15, seed=1), "nonincreasing")
     assert res.stats["branches"] == 13
 
     # the first ten graphs of the criterion-5 corpus

@@ -438,11 +438,10 @@ def test_search_from_the_record_matches_re_testing_every_vertex(monkeypatch,
         _reduce_into(g, cfg, log, stats, None)
 
     g = _split_graph()
-    cfg = mwis.SolverConfig(mode=mode)
-    got = mwis.solve(g, cfg)
+    got = mwis.solve(g, mode)
     with monkeypatch.context() as m:
         m.setattr(mwis.solver, "_reduce_into", every_vertex)
-        want = mwis.solve(g, cfg)
+        want = mwis.solve(g, mode)
     assert got.weight == want.weight
     assert got.solution == want.solution
     assert got.stats == want.stats

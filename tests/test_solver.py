@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
-from mwis import (OPTIMAL, BlowupConfig, SizeLimit, SolverConfig,
-                  TIME_LIMIT, brute_force_mwis, components, local_search,
-                  solve, upper_bound, verify_lift)
+from mwis import (OPTIMAL, BlowupConfig, SizeLimit, TIME_LIMIT,
+                  brute_force_mwis, components, local_search, solve,
+                  upper_bound, verify_lift)
 from mwis import solver
 from mwis.solver import _branch_vertex
 
@@ -256,7 +256,7 @@ def test_the_search_runs_no_plateau_struction(monkeypatch, mode):
     g = mwis.random_gnp_graph(45, 0.15, seed=1)
     mwis.preprocess(g.copy(), mode)
     alone = len(calls)
-    res = solve(g, SolverConfig(mode=mode))
+    res = solve(g, mode)
     assert res.stats["branches"] > 0 and alone > 0
     assert len(calls) - alone == alone
 
@@ -273,8 +273,7 @@ def test_bound_at_node_entry_skips_reductions(monkeypatch):
     monkeypatch.setattr(solver, "_search", counted("search", solver._search))
     monkeypatch.setattr(solver, "_reduce_into",
                         counted("reduce", solver._reduce_into))
-    res = solve(mwis.random_gnp_graph(45, 0.15, seed=1),
-                SolverConfig(mode="nonincreasing"))
+    res = solve(mwis.random_gnp_graph(45, 0.15, seed=1), "nonincreasing")
     assert res.weight == 1747
     assert 0 < counts["reduce"] < counts["search"]
 
@@ -291,7 +290,7 @@ def test_solve_all_presets_agree():
     for _ in range(25):
         g = random_graph(rnd, rnd.randint(4, 16), rnd.choice([0.2, 0.4]),
                          wmax=100)
-        results = [solve(g.copy(), SolverConfig(mode=m)) for m in mwis.PRESETS]
+        results = [solve(g.copy(), m) for m in mwis.PRESETS]
         weights = {r.weight for r in results}
         assert len(weights) == 1
         for r in results:
@@ -311,7 +310,7 @@ def test_solve_matches_reference_oracle(seed, n):
 
 def test_time_limit_returns_best_effort():
     g = mwis.random_gnp_graph(90, 0.3, seed=21)
-    res = solve(g, SolverConfig(time_limit=1e-6))
+    res = solve(g, time_limit=1e-6)
     assert res.status == TIME_LIMIT
     assert is_independent(g, res.solution)
     assert sum(g.weight(v) for v in res.solution) == res.weight
@@ -321,7 +320,7 @@ def test_time_limit_before_search_lifts_a_local_search_of_the_kernel():
     # the deadline passes during blow-up, before the search starts; the
     # result is still a good solution, not just what preprocessing implies
     g = mwis.random_gnp_graph(100, 0.1, seed=3)
-    res = solve(g, SolverConfig(mode="cyclic-strong", time_limit=1e-6))
+    res = solve(g, "cyclic-strong", 1e-6)
     assert res.status == TIME_LIMIT
     assert is_independent(g, res.solution)
     assert sum(g.weight(v) for v in res.solution) == res.weight
@@ -332,7 +331,7 @@ def test_time_limit_covers_cyclic_preprocessing():
     g = mwis.random_gnp_graph(80, 0.08, seed=31)
     import time
     t0 = time.monotonic()
-    res = solve(g, SolverConfig(mode="cyclic-strong", time_limit=2.0))
+    res = solve(g, "cyclic-strong", 2.0)
     elapsed = time.monotonic() - t0
     assert elapsed < 30
     assert is_independent(g, res.solution)
