@@ -4,17 +4,19 @@ Alternates blow-up phases (one increasing struction that temporarily grows
 the graph) with full reduction phases:
 
     K <- reduce(G)
-    while K is not empty and unsuccessful < X:
+    while K is not empty and rejected phases < X:
         K'  <- blow_up(K)           (NoCandidate: return K)
         K'' <- reduce(K') around the struction's change record
         if |V(K'')| < |V(K)|: K <- K''
-        else: roll K and the log back and count the phase as unsuccessful
+        else: roll K and the log back and count the phase as rejected
 
 Every accepted phase shrinks K, so K is always the smallest kernel seen.
 One BlowupConfig drives the whole cycle: every reduce runs its rules, and
-the structions of both loops share its variant and d_max.  The presets
-differ only in its X, n_max and d_max; nonincreasing is X = 0, plain
-reduction, and cyclic_blow_up is the one entry point that kernelizes.
+the structions of both loops share its variant and d_max.  The presets are
+BlowupConfig values that differ only in X, n_max and d_max; nonincreasing
+is X = 0, plain reduction.  preprocess runs a preset under a struction
+variant; any other config is a dataclasses.replace of a preset, passed to
+cyclic_blow_up, the one entry point that kernelizes.
 
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
@@ -28,7 +30,7 @@ variants G[N[v]] can return to an earlier state and repeat a failure.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .reductions import RULE_ORDER, _reduce_into
 from .struction import (VARIANT_OPS, Aborted, NotMinimal,
@@ -44,9 +46,9 @@ PRESET_CYCLIC_FAST = "cyclic-fast"
 PRESET_CYCLIC_STRONG = "cyclic-strong"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlowupConfig:
-    X: int = 25                  # max unsuccessful blow-up phases
+    X: int = 25                  # max rejected blow-up phases
     n_max: int = 512             # hard cap on vertices created by one struction
     d_max: int = 64              # max struction center degree, in both loops
     variant: str = "extended"    # struction variant, in both loops
@@ -64,22 +66,18 @@ class KernelResult:
         return self.log.offset
 
 
-# preset name -> BlowupConfig fields
 PRESETS = {
-    PRESET_NONINCREASING: {"X": 0, "n_max": 512, "d_max": 64},
-    PRESET_CYCLIC_FAST: {"X": 25, "n_max": 512, "d_max": 64},
-    PRESET_CYCLIC_STRONG: {"X": 64, "n_max": 2048, "d_max": 512},
+    PRESET_NONINCREASING: BlowupConfig(X=0, n_max=512, d_max=64),
+    PRESET_CYCLIC_FAST: BlowupConfig(X=25, n_max=512, d_max=64),
+    PRESET_CYCLIC_STRONG: BlowupConfig(X=64, n_max=2048, d_max=512),
 }
 
 
-def make_blowup_config(mode, **overrides):
-    """The named preset's config; overrides that are not None replace
-    individual fields."""
+def make_blowup_config(mode):
+    """The named preset's config (shared, hence frozen)."""
     if mode not in PRESETS:
         raise ValueError(f"unknown preset {mode!r}")
-    fields = dict(PRESETS[mode])
-    fields.update((k, v) for k, v in overrides.items() if v is not None)
-    return BlowupConfig(**fields)
+    return PRESETS[mode]
 
 
 def estimate_L(g, v):
@@ -131,7 +129,7 @@ def blow_up(K, bounds, cfg, log):
         return CHANGED, v
 
 
-def cyclic_blow_up(g, cfg=None, deadline=None):
+def cyclic_blow_up(g, cfg, deadline=None):
     """Run the full blow-up/reduce cycle on g (consumed); returns the
     smallest kernel found, with a log describing exactly that kernel.
 
@@ -142,7 +140,6 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
     A rejected phase restores only the graph and the log.  blow_up writes
     nothing before its one struction, so its bounds fit the restored graph,
     where the centre is excluded; an accept drops those of struck vertices."""
-    cfg = cfg or BlowupConfig()
     log = TransformLog()
     stats = {}
     _reduce_into(g, cfg, log, stats)
@@ -153,8 +150,7 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
     stats["blowup_rejects"] = 0
 
     bounds = {}
-    unsuccessful = 0
-    while K.counts()[0] and unsuccessful < cfg.X:
+    while K.counts()[0] and stats["blowup_rejects"] < cfg.X:
         if deadline is not None and time.monotonic() >= deadline:
             break
         snap_graph = K.copy()
@@ -176,13 +172,11 @@ def cyclic_blow_up(g, cfg=None, deadline=None):
             K = snap_graph
             log.truncate(snap_len)
             bounds[center] = EXCLUDED
-            unsuccessful += 1
 
     stats["kernel_n"], stats["kernel_m"] = K.counts()
     return KernelResult(K, log, stats)
 
 
-def preprocess(g, mode=PRESET_NONINCREASING, **overrides):
-    """Reduce g (consumed) under the named preset; overrides that are not
-    None replace individual BlowupConfig fields."""
-    return cyclic_blow_up(g, make_blowup_config(mode, **overrides))
+def preprocess(g, mode=PRESET_NONINCREASING, variant="extended"):
+    """Reduce g (consumed) under the named preset and struction variant."""
+    return cyclic_blow_up(g, replace(make_blowup_config(mode), variant=variant))

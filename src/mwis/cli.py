@@ -54,11 +54,8 @@ def build_parser():
     red.add_argument("--in", dest="infile", required=True)
     red.add_argument("--out", dest="outfile", required=True)
     red.add_argument("--mode", choices=PRESETS, default=PRESET_NONINCREASING)
-    red.add_argument("--nmax", type=int, default=None)
-    red.add_argument("--dmax", type=int, default=None)
-    red.add_argument("--unsucc", type=int, default=None,
-                     help="max unsuccessful blow-up phases (X)")
-    red.add_argument("--variant", choices=sorted(VARIANT_OPS), default=None)
+    red.add_argument("--variant", choices=sorted(VARIANT_OPS),
+                     default="extended")
     red.add_argument("--stats", dest="stats", default=None)
 
     sol = sub.add_parser("solve", help="solve a graph file exactly")
@@ -90,14 +87,9 @@ def build_parser():
 
 
 def _reduce_cmd(args):
-    for flag, value in (("--nmax", args.nmax), ("--dmax", args.dmax),
-                        ("--unsucc", args.unsucc)):
-        if value is not None and value < 0:
-            raise _UsageError(f"{flag} must be >= 0, got {value}")
     g = parse_graph(args.infile)
     t0 = time.monotonic()
-    kres = preprocess(g, args.mode, X=args.unsucc, n_max=args.nmax,
-                      d_max=args.dmax, variant=args.variant)
+    kres = preprocess(g, args.mode, args.variant)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
     write_kernel(kres, args.outfile)
     n, m = kres.kernel.counts()
@@ -152,6 +144,8 @@ def _gen_cmd(args):
         if not 0 <= args.p <= 1:
             raise _UsageError(f"--p must lie in [0, 1], got {args.p}")
         g = random_gnp_graph(args.n, args.p, args.seed, args.wmin, args.wmax)
+    elif args.p is not None:
+        raise _UsageError("--p applies only to --type gnp")
     else:
         g = random_path_graph(args.n, args.seed, args.wmin, args.wmax,
                               cycle=(args.kind == "cycle"))
@@ -160,6 +154,8 @@ def _gen_cmd(args):
 
 
 def _oracle_cmd(args):
+    if args.limit < 0:
+        raise _UsageError(f"--limit must be >= 0, got {args.limit}")
     g = parse_graph(args.infile)
     try:
         weight, sol = brute_force_mwis(g, args.limit)

@@ -36,10 +36,13 @@ class ParseError(Exception):
 
 
 def _to_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {what} {token!r} is not an integer") from None
+    # lines are ASCII, so but for '1_0' int() takes only a sign and digits
+    if "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(f"line {lineno}: {what} {token!r} is not an integer")
 
 
 def _read_lines(path):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 import time
 
 import pytest
@@ -9,6 +9,7 @@ from mwis import (BlowupConfig, TransformLog, blow_up, cyclic_blow_up, lift,
                   make_blowup_config, preprocess, verify_lift)
 from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED, EXCLUDED, NO_CANDIDATE, estimate_L
+from mwis.translog import to_bytes
 
 from reference import bench_inputs, local_state, mwis_oracle, random_graph
 
@@ -31,9 +32,13 @@ def test_presets():
     for cfg in (plain, fast, strong):
         assert cfg.variant == "extended"
         assert cfg.rules == mwis.RULE_ORDER
-    cfg = make_blowup_config("cyclic-fast", d_max=7, variant="modified", X=3)
-    assert (cfg.X, cfg.n_max, cfg.d_max, cfg.variant) == (3, 512, 7, "modified")
-    assert make_blowup_config("nonincreasing", X=5, n_max=None).X == 5
+    for mode, cfg in mwis.PRESETS.items():
+        assert isinstance(cfg, BlowupConfig)
+        assert make_blowup_config(mode) is cfg
+        # callers share the preset object, so it must not change under them
+        with pytest.raises(FrozenInstanceError):
+            cfg.X = 6
+    assert fast.X == 25
     with pytest.raises(ValueError):
         make_blowup_config("turbo")
 
@@ -193,7 +198,8 @@ def test_rejected_phases_repeat_no_blow_up_attempt(monkeypatch):
     for mode in ("cyclic-fast", "cyclic-strong"):
         for g in graphs:
             keys.clear()
-            stats = preprocess(g.copy(), mode, X=6).stats
+            cfg = replace(make_blowup_config(mode), X=6)
+            stats = cyclic_blow_up(g.copy(), cfg).stats
             rejects += stats["blowup_rejects"]
             accepts += stats["blowup_accepts"]
             attempts += len(keys)
@@ -267,6 +273,16 @@ def test_deadline_skips_phases():
     # no phase may start after an expired deadline
     assert res.stats["blowup_phases"] == 0
     assert res.stats["kernel_n"] == res.stats["initial_kernel_n"]
+
+
+def test_cyclic_without_phases_is_nonincreasing():
+    g = mwis.random_gnp_graph(40, 0.15, seed=1)
+    plain = preprocess(g.copy(), "nonincreasing")
+    x0 = cyclic_blow_up(g.copy(), replace(mwis.PRESETS["cyclic-fast"], X=0))
+    fast = preprocess(g.copy(), "cyclic-fast")
+    assert to_bytes(x0.log) == to_bytes(plain.log) != to_bytes(fast.log)
+    assert x0.kernel == plain.kernel
+    assert plain.kernel.counts()[0] == 31 and fast.kernel.counts()[0] == 0
 
 
 def test_preprocess_dispatch(s3, c4a):

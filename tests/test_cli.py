@@ -54,28 +54,12 @@ def test_gen_gnp_requires_p(tmp_path, capsys):
     (["--p", "1.5"], "--p must lie in [0, 1]"),
     (["--wmax", str(2**64)], "--n 5 times --wmax 18446744073709551616 exceeds"),
     (["--type", "path", "--n", "1", "--wmax", str(2**65)], "exceeds 2^64 - 1"),
+    (["--type", "path", "--p", "2"], "--p applies only to --type gnp"),
+    (["--type", "cycle"], "--p applies only to --type gnp"),
 ])
 def test_gen_rejects_out_of_range_arguments(tmp_path, capsys, bad, message):
     out = tmp_path / "x.graph"
     argv = ["gen", "--n", "5", "--p", "0.5", "--seed", "1", "--out", str(out)]
-    rc = main(argv + bad)
-    assert rc == EXIT_USAGE
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert message in lines[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("bad, message", [
-    (["--nmax", "-1"], "--nmax must be >= 0"),
-    (["--dmax", "-1"], "--dmax must be >= 0"),
-    (["--unsucc", "-1"], "--unsucc must be >= 0"),
-])
-def test_reduce_rejects_out_of_range_tuning_flags(tmp_path, p3a_file, capsys,
-                                                  bad, message):
-    out = tmp_path / "k.graph"
-    argv = ["reduce", "--in", p3a_file, "--out", str(out),
-            "--mode", "cyclic-fast"]
     rc = main(argv + bad)
     assert rc == EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
@@ -130,7 +114,9 @@ def test_verify_rejects_malformed_solution_files(tmp_path, capsys):
     sol = tmp_path / "bad.sol"
     for text, err in (("%weight 5\n1\n1\n", "line 3: vertex id 1 repeats"),
                       ("%weight 9\n%weight 5\n1\n",
-                       "line 2: second %weight line")):
+                       "line 2: second %weight line"),
+                      ("%weight 5_0\n1\n",
+                       "line 1: weight '5_0' is not an integer")):
         sol.write_text(text)
         assert main(["verify", "--in", str(graph), "--sol", str(sol)]) \
             == EXIT_PARSE
@@ -160,8 +146,7 @@ def test_reduce_mode_and_overrides(tmp_path, capsys):
     main(["gen", "--n", "40", "--p", "0.15", "--seed", "4", "--out", graph])
     kernel = str(tmp_path / "g.kernel")
     rc = main(["reduce", "--in", graph, "--out", kernel, "--mode",
-               "cyclic-strong", "--unsucc", "5", "--nmax", "64",
-               "--dmax", "16", "--variant", "extended_reduced"])
+               "cyclic-strong", "--variant", "extended_reduced"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("kernel_n=")
@@ -187,39 +172,31 @@ def _lift_kernel_file(kernel):
     return lifted, meta["offset"] + res.weight
 
 
-def test_reduce_has_no_beta_flag(tmp_path, p3a_file, capsys):
+@pytest.mark.parametrize("flag, value", [("--beta", "2"), ("--unsucc", "0"),
+                                         ("--nmax", "64"), ("--dmax", "16")])
+def test_reduce_has_no_per_field_flags(tmp_path, p3a_file, capsys, flag,
+                                       value):
+    # presets are the configuration: reduce takes only --mode and --variant
     out = tmp_path / "k.graph"
     assert main(["reduce", "--in", p3a_file, "--out", str(out),
-                 "--beta", "2"]) == EXIT_USAGE
+                 flag, value]) == EXIT_USAGE
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
-    assert len(errors) == 1 and "--beta" in errors[0]
+    assert len(errors) == 1 and flag in errors[0]
     assert not out.exists()
-
-
-def test_reduce_cyclic_without_phases_is_nonincreasing(tmp_path, capsys):
-    graph = str(tmp_path / "g.graph")
-    main(["gen", "--n", "40", "--p", "0.15", "--seed", "1", "--out", graph])
-    files = {}
-    for name, flags in (("plain", ["--mode", "nonincreasing"]),
-                        ("x0", ["--mode", "cyclic-fast", "--unsucc", "0"]),
-                        ("fast", ["--mode", "cyclic-fast"])):
-        kernel = tmp_path / f"{name}.kernel"
-        assert main(["reduce", "--in", graph, "--out", str(kernel)]
-                    + flags) == EXIT_OK
-        files[name] = (kernel.read_bytes(),
-                       (tmp_path / f"{name}.kernel.meta.json").read_bytes())
-    assert files["plain"] == files["x0"] != files["fast"]
-    # the METIS header's first field is the kernel's vertex count
-    assert files["plain"][0].split()[0] == b"31"
-    assert files["fast"][0].split()[0] == b"0"
-    capsys.readouterr()
 
 
 def test_oracle_prints_solution(p3a_file, capsys):
     assert main(["oracle", "--in", p3a_file]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out == ["%weight 4", "1", "3"]
+
+
+def test_oracle_rejects_a_negative_limit(p3a_file, capsys):
+    assert main(["oracle", "--in", p3a_file, "--limit", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --limit must be >= 0, got -1"]
 
 
 def test_oracle_refuses_large_graphs(tmp_path, capsys):
@@ -276,10 +253,16 @@ def test_solve_accepts_a_zero_or_infinite_time_limit(tmp_path, p3a_file,
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
-    bad.write_text("3 2 10\n2 2\n3 1 3\n")   # missing a vertex line
-    rc = main(["solve", "--in", str(bad), "--sol", str(tmp_path / "x.sol")])
-    assert rc == EXIT_PARSE
-    assert "parse error" in capsys.readouterr().err
+    sol = tmp_path / "x.sol"
+    for text, err in (("3 2 10\n2 2\n3 1 3\n",   # missing a vertex line
+                       "parse error: line 1"),
+                      ("2 1 10\n1_0 2\n5 1\n",
+                       "parse error: line 2: weight '1_0' is not an integer")):
+        bad.write_text(text)
+        assert main(["solve", "--in", str(bad), "--sol", str(sol)]) \
+            == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(err)
+        assert not sol.exists()
 
 
 def test_non_ascii_input_is_a_parse_error(tmp_path, p3a_file, capsys):

@@ -67,6 +67,23 @@ def test_non_ascii_bytes_are_parse_errors_with_line_numbers(tmp_path):
         read_solution(str(p))
 
 
+def test_integers_are_a_sign_and_digits_only(tmp_path):
+    # int() alone also reads '1_0' as 10
+    graphs = [
+        ("2 1 10\n1_0 2\n5 1\n", "line 2: weight '1_0'"),
+        ("2 1 10\n10 2\n5 1_\n", "line 3: neighbor '1_'"),
+        ("% c\n2 0_1 10\n10 2\n5 1\n", "line 2: edge count '0_1'"),
+    ]
+    for text, fragment in graphs:
+        with pytest.raises(ParseError, match=re.escape(fragment)):
+            parse_graph(_write(tmp_path, text))
+    for text, fragment in (("%weight 1_0\n1\n", "line 1: weight '1_0'"),
+                           ("%weight 10\n1_0\n", "line 2: vertex id '1_0'")):
+        with pytest.raises(ParseError, match=re.escape(fragment)):
+            read_solution(_write(tmp_path, text, "s.sol"))
+    assert parse_graph(_write(tmp_path, "2 1 10\n+10 2\n5 1\n")).weight(0) == 10
+
+
 def test_total_weight_is_bounded_by_the_log_word(tmp_path):
     # the transformation log packs weights as u64; no weight or offset it
     # records exceeds the total weight, so the parser caps that total

@@ -15,6 +15,7 @@ brute force.
 
 import heapq
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -212,10 +213,11 @@ def test_cyclic_blow_up_matches_all_rules_queue(monkeypatch):
     graphs = [random_graph(rnd, 40, 4 / 39, wmin=1, wmax=200) for _ in range(8)]
     for mode in ("cyclic-fast", "cyclic-strong"):
         for g in graphs:
+            cfg = replace(mwis.make_blowup_config(mode), X=6)
             monkeypatch.setattr(blowup_mod, "_reduce_into", _reduce_into)
-            got = mwis.preprocess(g.copy(), mode, X=6)
+            got = mwis.cyclic_blow_up(g.copy(), cfg)
             monkeypatch.setattr(blowup_mod, "_reduce_into", _reduce_all_rules)
-            want = mwis.preprocess(g.copy(), mode, X=6)
+            want = mwis.cyclic_blow_up(g.copy(), cfg)
             assert to_bytes(got.log) == to_bytes(want.log)
             assert got.kernel == want.kernel
             assert got.stats == want.stats
