@@ -65,6 +65,13 @@ def clique_neighborhood_removal(g, v, log):
     N[v]) does, and neither needs a rule of its own.  It never competes
     with degree_two_fold: a fold needs non-adjacent u, x with
     w(v) < w(u) + w(x), and that sum is then the bound.
+
+    A clique holds at most one member of an independent set, so no cover's
+    bound is below the weight of any independent set of N(v).  Before it
+    builds the cover, which costs O(d^2) subset tests, the rule walks the
+    same descending-weight order for a greedy independent set, in time
+    linear in the degrees of its members, and fails as soon as that set
+    outweighs v.
     """
     w, nbs = g._w, g._nbs
     wv = w[v]
@@ -75,6 +82,14 @@ def clique_neighborhood_removal(g, v, log):
         if w[u] > wv:
             return False
     order = sorted((-w[u], u) for u in nbrs)
+    blocked = set()
+    certificate = 0
+    for negw, u in order:
+        if u not in blocked:
+            certificate -= negw
+            if certificate > wv:
+                return False
+            blocked |= nbs[u]
     cliques = []
     bound = 0
     for negw, u in order:
@@ -242,18 +257,24 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     pending = {}  # queued vertex -> rules to re-test
 
     def enqueue(vs, mask):
-        struction = expensive and mask & _STRUCTIONS
-        for x in vs:
-            m = pending.get(x)
-            if m is None:
-                pending[x] = mask
-                heapq.heappush(cheap_heap, x)
-            else:
-                pending[x] = m | mask
-            if struction and x not in exp_q:
-                exp_q.add(x)
-                struck.add(x)
-                heapq.heappush(exp_heap, x)
+        # only a mask with a simple rule puts x on the cheap heap: a pop
+        # tests nothing else but the zero-weight sweep, and no firing
+        # leaves a zero weight behind (an input one is swept, since every
+        # vertex starts with every rule)
+        if mask & _SIMPLE:
+            for x in vs:
+                m = pending.get(x)
+                if m is None:
+                    pending[x] = mask
+                    heapq.heappush(cheap_heap, x)
+                else:
+                    pending[x] = m | mask
+        if expensive and mask & _STRUCTIONS:
+            for x in vs:
+                if x not in exp_q:
+                    exp_q.add(x)
+                    struck.add(x)
+                    heapq.heappush(exp_heap, x)
 
     def fire(rule, n):
         stats[rule] = stats.get(rule, 0) + 1
@@ -324,7 +345,15 @@ def _mark(g, removed, enqueue):
       N[u] lies within N[v] after the removal exactly when it did before;
     - a new twin u of v has N(u) = N(v) - {x} and is not in P (otherwise
       the two were twins before).  If N(v) meets P, u neighbors a vertex
-      of P and is a far vertex of v's degree; otherwise N(v) misses P.
+      of P and is a far vertex of v's degree; otherwise N(v) misses P;
+    - clique_neighborhood_removal fails at v while v has a heavier
+      neighbor, so v skips it when it neighbors a heaviest vertex h of P
+      with w(h) > w(v).  The edge vh goes only with h or v, and weights
+      change only through set_weight, so a firing that removes h or
+      reweights h or v marks v again first;
+    - degree_two_fold fails at v unless deg(v) = 2, and deg(v) changes
+      only in a firing whose record holds v, which marks v again; so v
+      is marked for the fold only at degree 2.
 
     One case differs from re-testing every rule at P and far: a plateau
     attempt skipped because an earlier call on the graph used up its
@@ -342,15 +371,22 @@ def _mark(g, removed, enqueue):
             P |= nbs[t]
         enqueue(P, _ALL)
         return
+    w = g._w
     far_degrees = {len(nbs[y]) for y in far}
-    no_twin, twin = [], []
+    twin, fold = [], []
     for p in P:
-        if len(nbs[p]) in far_degrees or nbs[p].isdisjoint(P):
+        d = len(nbs[p])
+        if d in far_degrees or nbs[p].isdisjoint(P):
             twin.append(p)
-        else:
-            no_twin.append(p)
-    enqueue(no_twin, _ALL & ~(_DOM | _TWIN))
-    enqueue(twin, _ALL & ~_DOM)
+        if d == 2:
+            fold.append(p)
+    top = max(map(w.__getitem__, P), default=0)
+    outweighed = {p for h in P if w[h] == top
+                  for p in nbs[h] & P if w[p] < top}
+    enqueue(P, _STRUCTIONS)
+    enqueue(P - outweighed, _CNR)
+    enqueue(twin, _TWIN)
+    enqueue(fold, _FOLD)
 
 
 def _outer_neighbors(g, S):
@@ -382,7 +418,9 @@ _REVERSE_SCAN = 2
 _BIT = {r: 1 << i for i, r in enumerate(RULE_ORDER)}
 _ALL = (1 << len(RULE_ORDER)) - 1
 _DOM, _TWIN = _BIT["domination"], _BIT["twin"]
+_CNR, _FOLD = _BIT["clique_neighborhood_removal"], _BIT["degree_two_fold"]
 _STRUCTIONS = _BIT["decreasing_struction"] | _BIT["plateau_struction"]
+_SIMPLE = _ALL & ~_STRUCTIONS
 
 _SIMPLE_RULES = {
     "clique_neighborhood_removal": clique_neighborhood_removal,

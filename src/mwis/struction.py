@@ -62,6 +62,10 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
     unbounded work without emitting anything; a run of conflicting
     candidates is charged at once, which aborts exactly where a one-by-one
     scan would, since nothing is emitted in between.
+
+    Item i's conflict mask is built the first time the DFS descends into
+    i, not up front: an attempt that aborts after a few descents builds
+    only the masks it used, and the search itself is unchanged.
     """
     items = sorted(S)
     n = len(items)
@@ -69,12 +73,7 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
     wts = [w[u] for u in items]
     bit = {u: 1 << i for i, u in enumerate(items)}
     item_set = set(items)
-    conflicts = []
-    for u in items:
-        m = 0
-        for x in nbs[u] & item_set:
-            m |= bit[x]
-        conflicts.append(m)
+    conflicts = [None] * n
     if node_budget is None:
         node_budget = max(8192, 16 * (cap + 1))
     out = []
@@ -113,7 +112,13 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
                 continue
         stack.append((free, pos, weight, min_w))
         path.append(items[i])
-        free &= ~conflicts[i]
+        m = conflicts[i]
+        if m is None:
+            m = 0
+            for x in nbs[items[i]] & item_set:
+                m |= bit[x]
+            conflicts[i] = m
+        free &= ~m
         weight, min_w = cw, cm
 
 

@@ -7,6 +7,7 @@ agreement between the two is meaningful evidence of correctness.
 
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 
@@ -169,3 +170,94 @@ def exceeding_sets_recursive(g, S, threshold, cap, minimal_only=False,
     except _Abort as stop:
         return stop.reason
     return out
+
+
+def exceeding_sets_eager(g, S, threshold, cap, minimal_only=False,
+                         node_budget=None):
+    """The bitmask DFS of the exceeding-set enumeration with every conflict
+    mask built before the search starts, as the package built them before
+    it built each one on first descent; kept as an oracle for its order and
+    abort behaviour.  Same arguments and results as
+    exceeding_sets_recursive.
+    """
+    items = sorted(S)
+    n = len(items)
+    wts = [g.weight(u) for u in items]
+    index = {u: i for i, u in enumerate(items)}
+    conflicts = [sum(1 << index[x] for x in g.neighbors(u) if x in index)
+                 for u in items]
+    if node_budget is None:
+        node_budget = max(8192, 16 * (cap + 1))
+    out = []
+    nodes = 0
+    path, stack = [], []
+    free, pos, weight, min_w = (1 << n) - 1, 0, 0, float("inf")
+    while True:
+        if not free:
+            nodes += n - pos
+            if nodes > node_budget:
+                return "budget"
+            if not stack:
+                return out
+            free, pos, weight, min_w = stack.pop()
+            path.pop()
+            continue
+        i = (free & -free).bit_length() - 1
+        nodes += i - pos + 1
+        if nodes > node_budget:
+            return "budget"
+        free &= free - 1
+        pos = i + 1
+        cw, cm = weight + wts[i], min(min_w, wts[i])
+        if cw > threshold:
+            if not minimal_only or cw - cm <= threshold:
+                if len(out) >= cap:
+                    return "cap"
+                out.append((tuple(path) + (items[i],), cw))
+            if minimal_only:
+                continue
+        stack.append((free, pos, weight, min_w))
+        path.append(items[i])
+        free &= ~conflicts[i]
+        weight, min_w = cw, cm
+
+
+def clique_cover_removal_fires(g, v):
+    """Whether clique neighborhood removal includes v, decided by the
+    greedy clique cover alone: visit N(v) by descending weight, then
+    ascending id, put each vertex into the first clique whose members all
+    neighbor it or else open a new one, and fire when the sum of the
+    cliques' first (heaviest) members is at most w(v).  This is the rule
+    as the package tested it before it looked for an independent set of
+    N(v) that outweighs v first.
+    """
+    order = sorted(g.neighbors(v), key=lambda u: (-g.weight(u), u))
+    cliques = []
+    for u in order:
+        for cl in cliques:
+            if all(g.is_adjacent(u, x) for x in cl):
+                cl.append(u)
+                break
+        else:
+            cliques.append([u])
+    return sum(g.weight(cl[0]) for cl in cliques) <= g.weight(v)
+
+
+def planted_clique_graphs(seed, count):
+    """(rnd, graph) pairs: sparse random graphs, most with a planted clique
+    of up to 60 vertices whose members also keep some neighbors outside
+    it.  Removing one member leaves the kind of survivor set a blow-up
+    peel leaves.  The graphs' change records are empty."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(20, 120)
+        g = random_graph(rnd, n, rnd.choice((0.02, 0.05, 0.1)))
+        if rnd.random() < 0.8:
+            k = rnd.randint(3, min(60, n))
+            clique = rnd.sample(range(n), k)
+            for i, a in enumerate(clique):
+                for b in clique[i + 1:]:
+                    if not g.is_adjacent(a, b):
+                        g.add_edge(a, b)
+        g.take_changed()
+        yield rnd, g

@@ -7,12 +7,10 @@ give the set the forward union gives, so that `_mark` hands the queue the
 same vertices with the same rule masks whichever side it took.
 """
 
-import random
+from mwis.reductions import (_ALL, _CNR, _DOM, _FOLD, _REVERSE_SCAN, _TWIN,
+                             _mark, _outer_neighbors)
 
-from mwis.reductions import (_DOM, _TWIN, _ALL, _REVERSE_SCAN, _mark,
-                             _outer_neighbors)
-
-from reference import random_graph
+from reference import planted_clique_graphs
 
 
 def _forward(g, S):
@@ -25,7 +23,8 @@ def _reverse_side(g, S):
 
 def _mark_forward(g, removed, enqueue):
     """The reference for _mark: far from one set update per vertex of P,
-    and the record and the neighbors of its second part kept apart."""
+    the record and the neighbors of its second part kept apart, and after
+    a single removal one mask per vertex of P."""
     nbs = g._nbs
     T = {x for x in g._touched if x in nbs}
     P = {x for x in g.take_changed() if x in nbs}
@@ -38,15 +37,18 @@ def _mark_forward(g, removed, enqueue):
     if T or removed != 1:
         enqueue(near, _ALL)
         return
+    w = g._w
     far_degrees = {len(nbs[y]) for y in far}
-    no_twin, twin = [], []
+    top = max((w[p] for p in P), default=None)
     for p in P:
+        mask = _ALL & ~(_CNR | _FOLD | _DOM | _TWIN)
+        if not any(w[h] == top > w[p] for h in nbs[p] & P):
+            mask |= _CNR
+        if len(nbs[p]) == 2:
+            mask |= _FOLD
         if len(nbs[p]) in far_degrees or nbs[p].isdisjoint(P):
-            twin.append(p)
-        else:
-            no_twin.append(p)
-    enqueue(no_twin, _ALL & ~(_DOM | _TWIN))
-    enqueue(twin, _ALL & ~_DOM)
+            mask |= _TWIN
+        enqueue([p], mask)
 
 
 def _marks(mark, h, removed):
@@ -62,25 +64,6 @@ def _marks(mark, h, removed):
 
     mark(g, removed, enqueue)
     return marks
-
-
-def _planted_clique_graphs(seed, count):
-    """Sparse random graphs, most with a planted clique of up to 60
-    vertices whose members also keep some neighbors outside it: removing
-    one member leaves the kind of survivor set a blow-up peel leaves."""
-    rnd = random.Random(seed)
-    for _ in range(count):
-        n = rnd.randint(20, 120)
-        g = random_graph(rnd, n, rnd.choice((0.02, 0.05, 0.1)))
-        if rnd.random() < 0.8:
-            k = rnd.randint(3, min(60, n))
-            clique = rnd.sample(range(n), k)
-            for i, a in enumerate(clique):
-                for b in clique[i + 1:]:
-                    if not g.is_adjacent(a, b):
-                        g.add_edge(a, b)
-        g.take_changed()
-        yield rnd, g
 
 
 def _removal_cases(rnd, g):
@@ -118,7 +101,7 @@ def _removal_cases(rnd, g):
 
 def test_outer_neighbors_equals_the_forward_union_on_both_sides():
     sides = {True: 0, False: 0}
-    for rnd, g in _planted_clique_graphs(0x2D, 160):
+    for rnd, g in planted_clique_graphs(0x2D, 160):
         for h, S, _removed in _removal_cases(rnd, g):
             assert _outer_neighbors(h, S) == _forward(h, S)
             sides[_reverse_side(h, S)] += 1
@@ -130,14 +113,22 @@ def test_outer_neighbors_equals_the_forward_union_on_both_sides():
 def test_mark_queues_the_forward_scan_marks():
     sides = {True: 0, False: 0}
     kinds = {"single": 0, "multi": 0, "touched": 0}
-    for rnd, g in _planted_clique_graphs(0x2E, 120):
+    skips = {"clique": 0, "fold": 0}
+    for rnd, g in planted_clique_graphs(0x2E, 120):
         for h, P, removed in _removal_cases(rnd, g):
             assert {x for x in h._changed if x in h._nbs} == P
             got = _marks(_mark, h, removed)
             assert got == _marks(_mark_forward, h, removed)
             sides[_reverse_side(h, P)] += 1
-            kinds["touched" if h._touched else
-                  "single" if removed == 1 else "multi"] += 1
+            kind = ("touched" if h._touched else
+                    "single" if removed == 1 else "multi")
+            kinds[kind] += 1
+            if kind == "single":
+                for p in P:
+                    skips["clique"] += not got[p] & _CNR
+                    skips["fold"] += not got[p] & _FOLD
     assert sides[True] >= 100
     assert sides[False] >= 100
     assert min(kinds.values()) >= 100, kinds
+    # the single-removal masks drop both rules at many survivors
+    assert min(skips.values()) >= 2000, skips

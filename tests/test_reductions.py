@@ -7,11 +7,12 @@ import mwis
 from mwis import (RULE_ORDER, Aborted, BlowupConfig, DynGraph, TransformLog,
                   clique_neighborhood_removal, cyclic_blow_up,
                   degree_two_fold, domination, lift, twin_merge, verify_lift)
-from mwis.reductions import _must_exceed_cap
+from mwis.reductions import _SIMPLE_RULES, _must_exceed_cap
 from mwis.struction import count_small_exceeding_sets
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
-from reference import mwis_oracle, random_graph
+from reference import (clique_cover_removal_fires, mwis_oracle,
+                       planted_clique_graphs, random_graph)
 
 SIMPLE_RULES = (clique_neighborhood_removal, degree_two_fold, domination,
                 twin_merge)
@@ -161,6 +162,54 @@ def test_clique_neighborhood_removal_covers_removal_and_clique_rules():
                 rest.remove_vertex(u)
             assert g == rest, v
     assert min(seen.values()) >= 100, seen
+
+
+def test_clique_neighborhood_removal_fires_where_the_cover_alone_fires(
+        monkeypatch):
+    """The independent-set certificate only refutes what the cover refutes:
+    the rule includes v exactly where the greedy clique cover's bound is at
+    most w(v), at every vertex of planted-clique graphs and of c5 graphs,
+    and at every attempt while c5 graphs are kernelized under cyclic-fast,
+    blow-up phases and their peels included."""
+    seen = {"fired": 0, "failed, no heavier neighbor": 0}
+
+    def check(g, v):
+        want = clique_cover_removal_fires(g, v)
+        if not want and all(g.weight(u) <= g.weight(v)
+                            for u in g.neighbors(v)):
+            seen["failed, no heavier neighbor"] += 1
+        seen["fired"] += want
+        return want
+
+    rnd = random.Random(0xC5)
+    c5 = [random_graph(rnd, 60, 4 / 59, wmin=1, wmax=200) for _ in range(40)]
+    graphs = [g for _rnd, g in planted_clique_graphs(0x3C, 60)] + c5
+    for g0 in graphs:
+        for v in g0.active_vertices():
+            g, log = g0.copy(), TransformLog()
+            fired = clique_neighborhood_removal(g, v, log)
+            assert fired == check(g0, v), v
+            if fired:
+                assert log.events == [IncludedVertex(v, g0.weight(v))]
+            else:
+                assert g == g0 and not log.events
+    static = dict(seen)
+
+    real = _SIMPLE_RULES["clique_neighborhood_removal"]
+
+    def checked(g, v, log):
+        want = check(g, v)
+        assert real(g, v, log) == want, v
+        return want
+
+    monkeypatch.setitem(_SIMPLE_RULES, "clique_neighborhood_removal", checked)
+    phases = 0
+    for g in c5:
+        phases += mwis.preprocess(g.copy(), "cyclic-fast").stats[
+            "blowup_phases"]
+    assert min(static.values()) >= 200, static
+    assert min(seen[k] - static[k] for k in seen) >= 200 and phases >= 50, (
+        static, seen, phases)
 
 
 def test_clique_neighborhood_removal_respects_bound(c4a):

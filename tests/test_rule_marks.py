@@ -9,7 +9,7 @@ same log bytes, kernel and stats; solve must give the same result when
 every search node re-tests every vertex.  They also check that a branch's re-reduction
 reaches a fixpoint, that no struction attempt is repeated on an unchanged
 neighborhood, that the vertices `_reduce_into` returns cover every changed
-neighborhood, and the two single-removal lemmas the marks rest on, by
+neighborhood, and the single-removal lemmas the marks rest on, by
 brute force.
 """
 
@@ -25,10 +25,12 @@ from mwis import RULE_ORDER, BlowupConfig, blow_up
 from mwis import blowup as blowup_mod
 from mwis.blowup import CHANGED
 from mwis.reductions import (_SIMPLE_RULES, _reduce_into,
-                             decreasing_struction, plateau_struction)
+                             clique_neighborhood_removal, decreasing_struction,
+                             degree_two_fold, plateau_struction)
 from mwis.translog import ExcludedVertex, TransformLog, to_bytes
 
-from reference import disjoint_union, local_state, random_graph
+from reference import (clique_cover_removal_fires, disjoint_union,
+                       local_state, random_graph)
 
 VARIANTS = ("original", "modified", "extended", "extended_reduced")
 RULE_SETS = (RULE_ORDER, tuple(r for r in RULE_ORDER if r != "plateau_struction"))
@@ -365,8 +367,12 @@ def _twin_pairs(g):
 def test_single_removal_lemmas_by_brute_force():
     """Removing one vertex x dominates no vertex of P = N(x), and every new
     twin pair has an end v in P whose degree some far vertex shares or
-    whose neighborhood misses P."""
-    checked_twins = 0
+    whose neighborhood misses P.  Clique neighborhood removal fails at a v
+    in P that neighbors a heaviest vertex h of P with w(h) > w(v), also
+    after further removals that keep h, and the fold fails at a v in P
+    whose degree is not 2."""
+    checked = {"twin": 0, "clique": 0, "fold": 0}
+    rnd = random.Random(0x1F)
     for g in _tie_graphs(0x1E, 150):
         for x in g.active_vertices():
             P = set(g.neighbors(x))
@@ -376,16 +382,33 @@ def test_single_removal_lemmas_by_brute_force():
             h.remove_vertex(x)
             far = set().union(*(h.neighbors(p) for p in P)) - P if P else set()
             far_degrees = {h.degree(y) for y in far}
+            top = max((h.weight(p) for p in P), default=None)
             for v in P:
                 assert not _dominated(h, v) or v in before_dom
+                heavy = [u for u in h.neighbors(v)
+                         if u in P and h.weight(u) == top > h.weight(v)]
+                if heavy:
+                    assert not clique_cover_removal_fires(h, v)
+                    assert not clique_neighborhood_removal(h.copy(), v,
+                                                           TransformLog())
+                    later = h.copy()
+                    for y in later.active_vertices():
+                        if y not in (v, heavy[0]) and rnd.random() < 0.5:
+                            later.remove_vertex(y)
+                    assert not clique_cover_removal_fires(later, v)
+                    checked["clique"] += 1
+                if h.degree(v) != 2:
+                    assert not degree_two_fold(h.copy(), v, TransformLog())
+                    checked["fold"] += 1
             for a, b in _twin_pairs(h) - before_twins:
                 ends = [v for v in (a, b) if v in P]
                 assert len(ends) == 1
                 v = ends[0]
                 assert (h.degree(v) in far_degrees
                         or not set(h.neighbors(v)) & P)
-                checked_twins += 1
-    assert checked_twins >= 50
+                checked["twin"] += 1
+    assert checked["twin"] >= 50, checked
+    assert checked["clique"] >= 500 and checked["fold"] >= 500, checked
 
 
 # -- search nodes re-reduce from the record their branch left -----------------

@@ -10,8 +10,8 @@ from mwis import (Aborted, NotMinimal, TransformLog, enumerate_exceeding_sets,
 from mwis.struction import NeighborhoodSet
 from mwis.translog import Pair, VertexSet, VertexSetPlus
 
-from reference import (exceeding_sets_recursive, mwis_oracle,
-                       random_graph)
+from reference import (exceeding_sets_eager, exceeding_sets_recursive,
+                       mwis_oracle, random_graph)
 
 
 def weights_of(g):
@@ -224,6 +224,59 @@ def test_enumerate_matches_recursive_reference():
             assert [(ns.members, ns.weight) for ns in got] == want, case
             outcomes["sets" if got else "empty"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_enumerate_matches_eager_mask_reference():
+    # building each conflict mask on first descent changes nothing: the
+    # same sets in the same order, or an abort for the same reason, as the
+    # search with every mask built up front, in random neighborhoods
+    outcomes = {(kind, minimal_only): 0
+                for kind in ("empty", "sets", "cap", "budget")
+                for minimal_only in (False, True)}
+    for case in range(1500):
+        rnd = random.Random(0xEA6E5 + case)
+        n = rnd.randint(1, 40)
+        g = random_graph(rnd, n, rnd.choice([0.05, 0.2, 0.5, 0.9]), wmax=30)
+        v = rnd.randrange(n)
+        S = g.neighbors(v) if rnd.random() < 0.5 else rnd.sample(
+            range(n), rnd.randint(0, n))
+        threshold = rnd.randint(0, sum(g.weight(u) for u in S) + 1)
+        cap = rnd.choice([0, 1, 2, 5, 20, 100, 5000])
+        minimal_only = rnd.random() < 0.5
+        budget = rnd.choice([None, 3, 30, 300, 3000])
+        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only,
+                                       budget)
+        want = exceeding_sets_eager(g, S, threshold, cap, minimal_only,
+                                    budget)
+        if isinstance(got, Aborted):
+            assert got.reason == want, case
+            kind = want
+        else:
+            assert [(ns.members, ns.weight) for ns in got] == want, case
+            kind = "sets" if got else "empty"
+        outcomes[kind, minimal_only] += 1
+    assert min(outcomes.values()) >= 60, outcomes
+
+
+def test_enumerate_reads_only_the_neighbor_sets_it_descends_into():
+    # in a 40-leaf star's neighborhood the search descends into the first
+    # two leaves and aborts on the cap at the third, so it reads their two
+    # neighbor sets and not all 40 up front
+    g = mwis.new_graph(41, [100] + [1] * 40)
+    for u in range(1, 41):
+        g.add_edge(0, u)
+
+    class CountingDict(dict):
+        reads = []
+
+        def __getitem__(self, key):
+            CountingDict.reads.append(key)
+            return dict.__getitem__(self, key)
+
+    g._nbs = CountingDict(g._nbs)
+    out = enumerate_exceeding_sets(g, range(1, 41), threshold=2, cap=0)
+    assert out == Aborted("cap")
+    assert CountingDict.reads == [1, 2]
 
 
 def test_extended_struction_on_deep_star_aborts_without_recursion():
