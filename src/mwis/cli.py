@@ -9,6 +9,7 @@ file, 3 time limit hit (a best-effort solution was still written).
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -183,10 +184,16 @@ _COMMANDS = {"reduce": _reduce_cmd, "solve": _solve_cmd, "gen": _gen_cmd,
              "oracle": _oracle_cmd, "verify": _verify_cmd}
 
 
+@functools.cache
+def _parser():
+    # parse_args keeps no state between calls, so one parser serves every
+    # call of main in a process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.cmd](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

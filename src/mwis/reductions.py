@@ -16,9 +16,10 @@ A dirty-vertex queue drives the fixpoint: every vertex starts dirty with
 every rule marked, and a popped vertex is tested against its marked rules in
 order.  After each firing, _mark reads the graph's change record and
 re-enqueues the region around it, each vertex marked with only the rules
-that could have started to apply there, so the rules fire exactly as if
-every rule were re-tested; a re-reduction starts from the record's marks
-alone.  Zero-weight vertices are swept out first, as ExcludedVertex.
+that cfg runs and that could have started to apply there, so the rules
+fire exactly as if every rule were re-tested; a re-reduction starts from
+the record's marks alone.  Zero-weight vertices are swept out first, as
+ExcludedVertex.
 
 A struction attempt, here or at a blow-up candidate, is repeated at a vertex
 only after its weighted closed neighborhood changed; no exclusion map is kept.
@@ -241,7 +242,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     rules fire as when every vertex is re-tested.  Only a twin merge can
     turn round: y outside the region may gain a twin u inside it, which
     absorbs y where testing every vertex keeps y if y < u.  Blow-up phases
-    and search nodes pass seeds=().
+    and search nodes pass seeds=(); the search runs no twin rule.
 
     Returns the vertices queued for a struction attempt: if cfg has a
     struction rule, by _mark's lemma every live vertex whose weighted
@@ -250,6 +251,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
+    runs = sum(_BIT[r] for r in rules)
     budget = 4 * g.counts()[0]
     w = g._w
 
@@ -276,12 +278,16 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
                     struck.add(x)
                     heapq.heappush(exp_heap, x)
 
+    def marked(vs, mask):
+        # a rule that cfg does not run needs no mark
+        enqueue(vs, mask & runs)
+
     def fire(rule, n):
         stats[rule] = stats.get(rule, 0) + 1
-        _mark(g, n - len(w), enqueue)
+        _mark(g, n - len(w), marked)
 
     enqueue(g.active_vertices() if seeds is None else seeds, _ALL)
-    _mark(g, 0, enqueue)  # the changes made before this call
+    _mark(g, 0, marked)  # the changes made before this call
 
     while cheap_heap or exp_heap:
         if cheap_heap:
@@ -330,12 +336,25 @@ def _mark(g, removed, enqueue):
     weights in N[y] and the edges inside N(y): y is not in P, N(y) misses
     T, an edge between live vertices goes away only with one of its ends,
     and add_edge puts both ends in T.  The other cheap rules and a
-    struction attempt read only G[N[y]] and cfg, so y re-tests only
+    struction attempt read only G[N[y]] and cfg, so y re-tests at most
     domination and twin, which look one step further, and gets no
-    struction attempt.  G[N[v]] can change back (a pair struction gives v
-    a neighbor that a twin merge absorbs), and the retry then fails as
-    before: 32 of 20957 attempts on the first 30 benchmark c5 graphs under
-    the original variant, none under extended.
+    struction attempt.
+
+    Such a y re-tests domination only when some p in P and N(y) has
+    w(p) >= w(y) and deg(p) <= deg(y).  Let y be dominated after the
+    firing but not before, by a neighbor u: w(u) >= w(y) and N[u] lies
+    within N[y], so deg(u) <= deg(y).  If u were not in P, N(u) would be
+    unchanged, and so would N[y] and both weights, and u would have
+    dominated y before.  So u is such a p.  These y are found from the P
+    side: only a p of degree at most the largest far degree can qualify,
+    and its candidates are N(p) and far.  Every far vertex keeps its twin
+    mark: the spare mark on one end of a twin pair decides which end pops
+    first and is kept.
+
+    G[N[v]] can change back (a pair struction gives v a neighbor that a
+    twin merge absorbs), and the retry then fails as before: 32 of 20957
+    attempts on the first 30 benchmark c5 graphs under the original
+    variant, none under extended.
 
     When T is empty and removed is 1, a single vertex x went (a domination
     firing or the zero-weight sweep) and P = N(x).  For v in P:
@@ -365,14 +384,23 @@ def _mark(g, removed, enqueue):
     touched = [x for x in g._touched if x in nbs]
     P = {x for x in g.take_changed() if x in nbs}
     far = _outer_neighbors(g, P)
-    enqueue(far, _DOM | _TWIN)
+    w = g._w
+    far_degrees = {len(nbs[y]) for y in far}
+    reach = max(far_degrees, default=-1)
+    dominable = set()
+    for p in P:
+        d = len(nbs[p])
+        if d <= reach:
+            wp = w[p]
+            dominable.update(y for y in nbs[p] & far
+                             if w[y] <= wp and len(nbs[y]) >= d)
+    enqueue(far, _TWIN)
+    enqueue(dominable, _DOM)
     if touched or removed != 1:
         for t in touched:
             P |= nbs[t]
         enqueue(P, _ALL)
         return
-    w = g._w
-    far_degrees = {len(nbs[y]) for y in far}
     twin, fold = [], []
     for p in P:
         d = len(nbs[p])

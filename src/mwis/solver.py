@@ -8,33 +8,48 @@ beat the incumbent; it needs an incumbent, so a component's root is always
 reduced.  The second test is skipped when it would repeat the first.
 
     Solve(G, c, W):
-        if W is set and c + UpperBound(G) <= W:  return W
+        if W is set and c + UpperBound(G, W - c) <= W:  return W
         (G, c) <- Reduce(G, c) around what the branch changed
         if W is unset:          W <- c + local_search(G)
         elif Reduce left G as it was:  skip the next test
-        if c + UpperBound(G) <= W:  return W
+        if c + UpperBound(G, W - c) <= W:  return W
         if V(G) is empty:       return max(W, c)
         if G is disconnected:   c <- c + sum Solve(G_i, 0, unset)
                                 return max(W, c)
         branch; W <- Solve(include); W <- Solve(exclude); return W
 
-    UpperBound(G):
+    UpperBound(G, limit):
         C, L <- a weight-splitting clique cover of G and its levels
         B <- sum of L
-        for a in C by (size, index), while L(a) > 0:
+        for a in C by (size, index), while L(a) > 0 and B > limit:
             S <- {a} + {first b in C inside N(u) with L(b) > 0 : u in a}
             if some u in a has no such b:  next a
             d <- min of L over S;  L(S) <- L(S) - d;  B <- B - d
         return B
 
+A node only asks whether its bound reaches the incumbent, so UpperBound
+stops once the answer is yes; every prune decision is the one the full
+bound gives.  A connected node is searched as it is, without a copy.
+
 The offset c is exactly the running TransformLog offset: branching decisions
 are recorded as IncludedVertex/ExcludedVertex events, so any leaf's solution
 can be reconstructed by lifting the log prefix.  Inside the recursion only
 decreasing reductions run: the preset's BlowupConfig without the plateau
-struction rule, so variant and d_max are the preprocessing's, and blow-up
-phases run in the initial preprocessing alone.  Reduce starts from the change
-record (seeds=()): a child's G was a fixpoint before its branch's removals,
-and the root kernel and each component are fixpoints with empty records.
+struction and twin rules, so variant and d_max are the preprocessing's, and
+blow-up phases run in the initial preprocessing alone.  Reduce starts from
+the change record (seeds=()): a child's G was a fixpoint before its
+branch's removals, and the root kernel and each component are fixpoints
+with empty records.  A fixpoint of the preset's rules is one of any subset.
+
+Twin left the search because there it is tested after almost every
+firing and seldom fires: on the benchmark's two gnp graphs it ran 72,793
+times for 16 merges.  Without it, branch counts stayed the same on the
+two benchmark graphs, gnp(120, 5/120) x6, gnp(100, 0.1) x4, gnp(80,
+0.15) x4, gnp(200, 4/200) x4 and 20 c5 graphs, and the gnp families took
+14-27% less CPU.  The trade-off shows on graphs rich in near-twins, where
+branches create twin pairs: on ten gnp(60, 0.08) graphs with 30 added
+near-twins each, branches went 125 -> 137 at no higher CPU, with the same
+optima.
 """
 
 import sys
@@ -72,7 +87,7 @@ class SolveResult:
 
 # -- bounds -------------------------------------------------------------------
 
-def upper_bound(g):
+def upper_bound(g, limit=None):
     """Weight-splitting clique cover bound (Warren & Hicks 2006), lowered by
     conflict sets of its cliques (one step of WLMC's MaxSAT reasoning, Jiang,
     Li & Manya 2017).
@@ -89,6 +104,13 @@ def upper_bound(g):
     Weight still uncovered after the walk opens the clique {v}.
 
     The bound returned is the sum of the levels minus what `_refine` saves.
+    A search node only asks whether the bound is at most the incumbent's
+    margin, so with a limit the work stops once the answer is yes: the sum
+    of the levels is returned as it is when it is at most the limit, and
+    the refinement stops once the bound falls to the limit.  The value
+    returned is then some bound at most the limit; above the limit it is
+    the exact bound, so upper_bound(g, L) <= L exactly when
+    upper_bound(g) <= L.
     """
     w, nbs = g._w, g._nbs
     members = []   # clique index -> its vertices
@@ -126,12 +148,16 @@ def upper_bound(g):
             levels.append(r)
         cliques_of[v] = joined
     cover = sum(levels)
-    return cover - _refine(members, levels, nbs)
+    if limit is None:
+        limit = -1  # no bound is negative: refine all the way
+    if cover <= limit:
+        return cover
+    return cover - _refine(members, levels, nbs, cover - limit)
 
 
-def _refine(members, levels, nbs):
+def _refine(members, levels, nbs, enough):
     """Lower the levels of a clique cover along conflict sets; return the
-    total saved.
+    total saved, or a partial total once it reaches `enough`.
 
     Each vertex's weight is covered by the levels of its cliques, and an
     independent set I meets each clique at most once, so
@@ -180,6 +206,8 @@ def _refine(members, levels, nbs):
             for i in conflict:
                 levels[i] -= delta
             saved += delta
+            if saved >= enough:
+                return saved
     return saved
 
 
@@ -323,10 +351,12 @@ def _bits(mask):
 
 def components(g):
     """Connected components as induced subgraphs with preserved ids, ordered
-    by smallest contained id."""
+    by smallest contained id.  A connected graph comes back as [g] itself,
+    not a copy, after one traversal."""
     out = []
     seen = set()
-    for v in g.active_vertices():
+    ids = g.active_vertices()
+    for v in ids:
         if v in seen:
             continue
         comp = [v]
@@ -339,6 +369,8 @@ def components(g):
                     seen.add(u)
                     comp.append(u)
                     stack.append(u)
+        if len(comp) == len(ids):
+            return [g]
         out.append(g.subgraph(comp))
     return out
 
@@ -381,7 +413,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     # the bound is far cheaper than a re-reduction; a component's first
     # node has no incumbent yet and must produce one
     checked = inc.solution is not None
-    if checked and log.offset + upper_bound(G) <= inc.W:
+    if checked and log.offset + upper_bound(G, inc.W - log.offset) <= inc.W:
         return
     before = len(log)
     _reduce_into(G, sh.cfg, log, sh.stats, ())
@@ -393,7 +425,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
     # a reduction that recorded nothing left the graph, the offset and the
     # incumbent as the entry check saw them, so the check cannot prune now
     if (not (checked and len(log) == before)
-            and c + (upper_bound(G) if n else 0) <= inc.W):
+            and c + (upper_bound(G, inc.W - c) if n else 0) <= inc.W):
         return
     if n == 0:
         inc.offer(c, log, set())
@@ -448,8 +480,8 @@ def solve(g, mode=PRESET_NONINCREASING, time_limit=None):
     stats = {"branches": 0, "max_depth": 0}
     stats.update(kres.stats)
     stats["offset"] = kres.offset
-    in_recursion_cfg = replace(
-        bc, rules=tuple(r for r in RULE_ORDER if r != "plateau_struction"))
+    in_recursion_cfg = replace(bc, rules=tuple(
+        r for r in RULE_ORDER if r not in ("plateau_struction", "twin")))
     sh = _Shared(deadline, in_recursion_cfg, stats)
     inc = _Incumbent()
     status = OPTIMAL

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 import mwis
+from mwis import cli
 from mwis.cli import (EXIT_OK, EXIT_PARSE, EXIT_TIME_LIMIT, EXIT_USAGE, main)
 from mwis.metisio import parse_graph, read_solution, sidecar_path
 from mwis.translog import from_bytes
@@ -314,6 +315,36 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["frobnicate"]) == EXIT_USAGE                 # unknown command
     assert main(["reduce", "--in", "x", "--out", "y",
                  "--mode", "warp"]) == EXIT_USAGE             # unknown preset
+    capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_without_shared_state(
+        tmp_path, p3a_file, capsys, monkeypatch):
+    """main builds its parser once per process; a usage error leaves it
+    usable, and no parsed value of one call reaches the next."""
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "solve",
+                        lambda args: seen.append(args) or EXIT_OK)
+    sol = str(tmp_path / "x.sol")
+    assert main(["solve", "--in", p3a_file]) == EXIT_USAGE   # missing --sol
+    assert main(["solve", "--in", p3a_file, "--sol", sol, "--mode",
+                 "cyclic-fast", "--time-limit", "5"]) == EXIT_OK
+    assert main(["solve", "--in", p3a_file, "--sol", sol]) == EXIT_OK
+    first, second = seen
+    assert first is not second
+    assert (first.mode, first.time_limit) == ("cyclic-fast", 5.0)
+    assert (second.mode, second.time_limit) == ("nonincreasing", None)
+    # the real solve still runs on the shared parser after a usage error
+    monkeypatch.undo()
+    assert main(["solve", "--in", p3a_file]) == EXIT_USAGE
+    assert main(["solve", "--in", p3a_file, "--sol", sol]) == EXIT_OK
+    assert read_solution(sol)[0] == 4
+    assert built == [1]
     capsys.readouterr()
 
 

@@ -7,6 +7,10 @@ scaling leaves the kernel size as it was too.  Every preset and every
 struction variant reaches the same optimum, and a time-limited solve
 returns an independent set that weighs no more than it.  The optimum of a
 disjoint union is the sum of its parts' optima.
+
+The search runs without the twin rule, so graphs full of near-twins, whose
+branches create twin pairs, are solved under every preset and checked
+against brute force at n <= 30.
 """
 
 import random
@@ -111,3 +115,36 @@ def test_disjoint_union_sums_the_optima(mode):
     res = solve(union, mode)
     assert res.weight == best
     assert verify_lift(union, res.solution, res.weight)
+
+
+def _near_twin_graph(rnd, n, p, extra, wmax):
+    """A gnp graph plus `extra` vertices, each on the neighborhood of a
+    random vertex v and one or two random vertices outside N[v]: removing
+    those makes the new vertex a twin of v."""
+    g = mwis.random_gnp_graph(n, p, seed=rnd.randrange(2**32), wmax=wmax)
+    for _ in range(extra):
+        vs = g.active_vertices()
+        v = rnd.choice(vs)
+        nbrs = set(g.neighbors(v))
+        others = [u for u in vs if u != v and u not in nbrs]
+        nbrs.update(rnd.sample(others, min(len(others), rnd.randint(1, 2))))
+        g.add_vertex(rnd.randint(1, wmax), sorted(nbrs))
+    return g
+
+
+def test_near_twin_graphs_match_brute_force_under_every_preset():
+    rnd = random.Random(0x7E1)
+    branches = 0
+    for _ in range(20):
+        g = _near_twin_graph(rnd, rnd.randint(20, 22),
+                             rnd.choice((0.3, 0.4, 0.5)), 8,
+                             rnd.choice((50, 200)))
+        assert g.counts()[0] <= 30
+        best = mwis.brute_force_mwis(g)[0]
+        for mode in ("nonincreasing", "cyclic-fast", "cyclic-strong"):
+            res = solve(g, mode)
+            assert res.weight == best, mode
+            assert verify_lift(g, res.solution, best), mode
+            branches += res.stats["branches"]
+    # the search must run for the missing twin rule to matter
+    assert branches >= 30, branches

@@ -23,9 +23,11 @@ def _reverse_side(g, S):
 
 def _mark_forward(g, removed, enqueue):
     """The reference for _mark: far from one set update per vertex of P,
-    the record and the neighbors of its second part kept apart, and after
+    the record and the neighbors of its second part kept apart, each far
+    vertex's domination mark read from its own neighbors in P, and after
     a single removal one mask per vertex of P."""
     nbs = g._nbs
+    w = g._w
     T = {x for x in g._touched if x in nbs}
     P = {x for x in g.take_changed() if x in nbs}
     far = set()
@@ -33,11 +35,15 @@ def _mark_forward(g, removed, enqueue):
         far.update(nbs[p])
     far -= P
     near = P.union(*(nbs[t] for t in T))
-    enqueue(far - near, _DOM | _TWIN)
+    for y in far - near:
+        mask = _TWIN
+        if any(w[p] >= w[y] and len(nbs[p]) <= len(nbs[y])
+               for p in nbs[y] & P):
+            mask |= _DOM
+        enqueue([y], mask)
     if T or removed != 1:
         enqueue(near, _ALL)
         return
-    w = g._w
     far_degrees = {len(nbs[y]) for y in far}
     top = max((w[p] for p in P), default=None)
     for p in P:

@@ -32,6 +32,15 @@ def test_branch_count_and_kernel_sizes_are_pinned():
     }
 
 
+def test_search_rule_set_is_pinned():
+    """gnp(100, 0.1, 3), a benchmark graph, searched with the preset's
+    rules minus plateau_struction and twin.  Dropping twin left this tree
+    as it was; dropping domination (144) or decreasing_struction (125) from
+    the search, or a mark that skips a firing, moves it."""
+    res = solve(mwis.random_gnp_graph(100, 0.1, seed=3), "nonincreasing")
+    assert (res.weight, res.stats["branches"]) == (3511, 136)
+
+
 def test_root_kernel_bounds_are_pinned():
     bounds = [upper_bound(mwis.preprocess(mwis.random_gnp_graph(*args),
                                           "nonincreasing").kernel)

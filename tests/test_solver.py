@@ -117,6 +117,39 @@ def test_refined_bound_lies_between_the_optimum_and_the_cover(monkeypatch):
     assert sum(b < c for b, c in zip(refined, covers)) > 0
 
 
+def test_a_bound_with_a_limit_answers_the_same_question(monkeypatch):
+    """upper_bound(g, L) <= L exactly when upper_bound(g) <= L, and above L
+    the two values are equal; at or below L the value is still a bound.
+    Limits are taken around the refined bound, between it and the cover,
+    and at the cover, so the early stop in the refinement and the skipped
+    refinement both run."""
+    rnd = random.Random(0x1A1)
+    graphs = [random_graph(rnd, rnd.randint(1, 40),
+                           rnd.choice([0.1, 0.2, 0.4, 0.7]),
+                           wmax=rnd.choice([3, 200])) for _ in range(300)]
+    exact = [upper_bound(g) for g in graphs]
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_refine", lambda *args: 0)
+        covers = [upper_bound(g) for g in graphs]
+    cases = {"below": 0, "partial": 0, "skipped": 0}
+    for g, bound, cover in zip(graphs, exact, covers):
+        limits = {bound - 2, bound - 1, bound, cover - 1, cover, cover + 1,
+                  rnd.randint(bound, cover)}
+        for limit in sorted(limits):
+            got = upper_bound(g, limit)
+            assert (got <= limit) == (bound <= limit), (limit, got, bound)
+            assert got >= bound
+            if bound > limit:
+                assert got == bound
+                cases["below"] += 1
+            elif limit < cover:
+                cases["partial"] += 1
+            else:
+                cases["skipped"] += 1
+    assert min(cases.values()) >= 200, cases
+    assert sum(b < c for b, c in zip(exact, covers)) >= 50
+
+
 def test_local_search_returns_valid_lower_bound(c4a):
     w, sol = local_search(c4a)
     assert is_independent(c4a, sol)
@@ -152,6 +185,19 @@ def test_components_split_and_preserve_ids():
     for comp in comps:
         for v in comp.active_vertices():
             assert comp.weight(v) == g.weight(v)
+
+
+def test_a_connected_graph_is_its_own_component():
+    g = mwis.random_gnp_graph(30, 0.3, seed=4)
+    assert components(g) == [g] and components(g)[0] is g
+    assert components(mwis.new_graph(0, [])) == []
+    # one isolated vertex more: two components, both copies
+    h = g.copy()
+    v = h.add_vertex(1)
+    comps = components(h)
+    assert [c.counts()[0] for c in comps] == [30, 1]
+    assert comps[1].active_vertices() == [v]
+    assert all(c is not h for c in comps)
 
 
 def test_branch_vertex_prefers_degree_weight_then_smallest_id(k3u):
@@ -259,6 +305,24 @@ def test_the_search_runs_no_plateau_struction(monkeypatch, mode):
     res = solve(g, mode)
     assert res.stats["branches"] > 0 and alone > 0
     assert len(calls) - alone == alone
+
+
+def test_the_search_runs_no_twin_test(monkeypatch):
+    """solve tests twin only in its preprocessing: its search nodes
+    reduce without that rule and queue no twin test, also on a graph with
+    added near-twins."""
+    calls = []
+    twin = mwis.reductions._SIMPLE_RULES["twin"]
+    monkeypatch.setitem(mwis.reductions._SIMPLE_RULES, "twin",
+                        lambda g, v, log: calls.append(v) or twin(g, v, log))
+    g = mwis.random_gnp_graph(45, 0.15, seed=1)
+    for v in range(0, 45, 3):
+        g.add_vertex(1 + v, sorted({*g.neighbors(v), (v + 1) % 45}))
+    mwis.preprocess(g.copy())
+    alone = len(calls)
+    res = solve(g)
+    assert res.stats["branches"] > 0 and alone > 0
+    assert len(calls) == 2 * alone
 
 
 def test_bound_at_node_entry_skips_reductions(monkeypatch):
