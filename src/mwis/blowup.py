@@ -54,6 +54,16 @@ class BlowupConfig:
     variant: str = "extended"    # struction variant, in both loops
     rules: tuple = RULE_ORDER    # the rules every reduction runs
 
+    def __post_init__(self):
+        if self.variant not in VARIANT_OPS:
+            raise ValueError(f"unknown struction variant {self.variant!r}")
+        for rule in self.rules:
+            if rule not in RULE_ORDER:
+                raise ValueError(f"unknown rule {rule!r}")
+        for key in ("X", "n_max", "d_max"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+
 
 @dataclass
 class KernelResult:
@@ -144,18 +154,18 @@ def cyclic_blow_up(g, cfg, deadline=None):
     stats = {}
     _reduce_into(g, cfg, log, stats)
     K = g
-    stats["initial_kernel_n"] = K.counts()[0]
+    stats["initial_kernel_n"] = len(K._w)
     stats["blowup_phases"] = 0
     stats["blowup_accepts"] = 0
     stats["blowup_rejects"] = 0
 
     bounds = {}
-    while K.counts()[0] and stats["blowup_rejects"] < cfg.X:
+    while K._w and stats["blowup_rejects"] < cfg.X:
         if deadline is not None and time.monotonic() >= deadline:
             break
         snap_graph = K.copy()
         snap_len = len(log)
-        pre_n = K.counts()[0]
+        pre_n = len(K._w)
 
         status, center = blow_up(K, bounds, cfg, log)
         if status == NO_CANDIDATE:
@@ -163,7 +173,7 @@ def cyclic_blow_up(g, cfg, deadline=None):
         stats["blowup_phases"] += 1
         struck = _reduce_into(K, cfg, log, stats, seeds=())
 
-        if K.counts()[0] < pre_n:
+        if len(K._w) < pre_n:
             stats["blowup_accepts"] += 1
             for v in struck:
                 bounds.pop(v, None)

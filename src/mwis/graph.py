@@ -6,10 +6,11 @@ greater than every id the graph has ever issued.  This lets transformation
 logs refer to long-removed vertices without ambiguity.
 
 Each vertex keeps its neighbors in one set, which backs O(1) adjacency
-tests and the subset checks the reduction rules lean on.  Set iteration
-order depends on insertion history, so code whose output depends on an
-order sorts explicitly; neighbors() is the sorted view for callers outside
-the package.
+tests and the subset checks the reduction rules lean on; counts() derives
+m from the sets in O(n), so code that needs only n reads len(_w).  Set
+iteration order depends on insertion history, so code whose output
+depends on an order sorts explicitly; neighbors() is the sorted view for
+callers outside the package.
 
 The rules, blow-up and search read the maps _w and _nbs directly, but
 every write goes through the four mutators, which add each vertex they
@@ -46,12 +47,11 @@ class DuplicateEdge(GraphError):
 class DynGraph:
     """Mutable weighted graph supporting removal and fresh-vertex creation."""
 
-    __slots__ = ("_w", "_nbs", "_m", "_next_id", "_changed", "_touched")
+    __slots__ = ("_w", "_nbs", "_next_id", "_changed", "_touched")
 
     def __init__(self):
         self._w = {}      # active vertex id -> weight
         self._nbs = {}    # active vertex id -> set of neighbor ids
-        self._m = 0       # number of edges
         self._next_id = 0
         self._changed = set()  # vertices changed since the last take_changed
         self._touched = set()  # those created, reweighted or given an edge
@@ -66,9 +66,7 @@ class DynGraph:
             raise InvalidWeight(f"weight must be non-negative, got {w}")
         nbs = self._nbs
         own = set(nbrs)
-        if not own <= nbs.keys():
-            raise InactiveVertex(
-                f"vertex {min(own - nbs.keys())} is not active")
+        self._check_all_active(own)
         if len(own) != len(nbrs):
             raise DuplicateEdge(f"repeated neighbor in {list(nbrs)}")
         v = self._next_id
@@ -77,7 +75,6 @@ class DynGraph:
         nbs[v] = own
         for u in own:
             nbs[u].add(v)
-        self._m += len(own)
         self._changed.add(v)
         self._changed.update(own)
         self._touched.add(v)
@@ -92,7 +89,6 @@ class DynGraph:
             raise DuplicateEdge(f"edge ({u},{v}) already present")
         self._nbs[u].add(v)
         self._nbs[v].add(u)
-        self._m += 1
         self._changed.add(u)
         self._changed.add(v)
         self._touched.update((u, v))
@@ -104,7 +100,6 @@ class DynGraph:
         nv = nbs.pop(v)
         for u in nv:
             nbs[u].discard(v)
-        self._m -= len(nv)
         del self._w[v]
         self._changed.update(nv)
 
@@ -150,7 +145,7 @@ class DynGraph:
         return sorted(self._w)
 
     def counts(self):
-        return len(self._w), self._m
+        return len(self._w), sum(map(len, self._nbs.values())) // 2
 
     @property
     def next_id(self):
@@ -160,10 +155,10 @@ class DynGraph:
     def subgraph(self, vertices):
         """Induced subgraph on the given vertices, ids and next_id preserved."""
         keep = set(vertices)
+        self._check_all_active(keep)
         g = DynGraph()
         g._w = {v: self._w[v] for v in keep}
         g._nbs = {v: self._nbs[v] & keep for v in keep}
-        g._m = sum(len(nbrs) for nbrs in g._nbs.values()) // 2
         g._next_id = self._next_id
         return g
 
@@ -174,7 +169,6 @@ class DynGraph:
         g = DynGraph()
         g._w = dict(self._w)
         g._nbs = {v: set(nbrs) for v, nbrs in self._nbs.items()}
-        g._m = self._m
         g._next_id = self._next_id
         return g
 
@@ -182,14 +176,19 @@ class DynGraph:
         if not isinstance(other, DynGraph):
             return NotImplemented
         return (self._w == other._w and self._nbs == other._nbs
-                and self._m == other._m and self._next_id == other._next_id)
+                and self._next_id == other._next_id)
 
     def __repr__(self):
-        return f"DynGraph(n={len(self._w)}, m={self._m}, next_id={self._next_id})"
+        return (f"DynGraph(n={len(self._w)}, m={self.counts()[1]}, "
+                f"next_id={self._next_id})")
 
     def _check_active(self, v):
         if v not in self._w:
             raise InactiveVertex(f"vertex {v} is not active")
+
+    def _check_all_active(self, vs):
+        if not vs <= self._w.keys():
+            raise InactiveVertex(f"vertex {min(vs - self._w.keys())} is not active")
 
 
 def new_graph(n, weights):

@@ -252,7 +252,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
     expensive = [r for r in rules if r not in _SIMPLE_RULES]
     runs = sum(_BIT[r] for r in rules)
-    budget = 4 * g.counts()[0]
+    budget = 4 * len(g._w)
     w = g._w
 
     cheap_heap, exp_heap, exp_q, struck = [], [], set(), set()

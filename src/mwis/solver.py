@@ -8,9 +8,10 @@ beat the incumbent; it needs an incumbent, so a component's root is always
 reduced.  The second test is skipped when it would repeat the first.
 
     Solve(G, c, W):
-        if W is set and c + UpperBound(G, W - c) <= W:  return W
+        if W is set:            stop at the deadline
+                                if c + UpperBound(G, W - c) <= W:  return W
         (G, c) <- Reduce(G, c) around what the branch changed
-        if W is unset:          W <- c + local_search(G)
+        if W is unset:          W <- c + local_search(G);  stop at the deadline
         elif Reduce left G as it was:  skip the next test
         if c + UpperBound(G, W - c) <= W:  return W
         if V(G) is empty:       return max(W, c)
@@ -26,6 +27,11 @@ reduced.  The second test is skipped when it would repeat the first.
             if some u in a has no such b:  next a
             d <- min of L over S;  L(S) <- L(S) - d;  B <- B - d
         return B
+
+A node without an incumbent meets the deadline only once its local search
+has seeded one, so every timeout leaves one for solve to return (the root's
+Reduce is a no-op on the kernel); a component's root reached after the
+deadline still runs its Reduce and local search.
 
 A node only asks whether its bound reaches the incumbent, so UpperBound
 stops once the answer is yes; every prune decision is the one the full
@@ -407,7 +413,8 @@ class _Incumbent:
 
 
 def _search(G, log, sh, inc, seed_ls, depth):
-    sh.check_time()
+    if not seed_ls:
+        sh.check_time()
     if depth > sh.stats["max_depth"]:
         sh.stats["max_depth"] = depth
     # the bound is far cheaper than a re-reduction; a component's first
@@ -421,7 +428,8 @@ def _search(G, log, sh, inc, seed_ls, depth):
     if seed_ls:
         lw, lset = local_search(G)
         inc.offer(c + lw, log, lset)
-    n, _m = G.counts()
+        sh.check_time()
+    n = len(G._w)
     # a reduction that recorded nothing left the graph, the offset and the
     # incumbent as the entry check saw them, so the check cannot prune now
     if (not (checked and len(log) == before)
@@ -468,34 +476,26 @@ def _solve_subgraph(comp, sh):
 
 def solve(g, mode=PRESET_NONINCREASING, time_limit=None):
     """Exact MWIS of g, preprocessed under the named preset.  The graph is
-    copied, never mutated.  time_limit is in seconds; None means
-    unlimited."""
+    copied, never mutated.  time_limit is a number of seconds >= 0 (NaN
+    is refused: it would never expire); None means unlimited."""
+    if time_limit is not None and not (
+            isinstance(time_limit, (int, float)) and time_limit >= 0):
+        raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
     deadline = (time.monotonic() + time_limit
                 if time_limit is not None else None)
     bc = blowup.make_blowup_config(mode)
     kres = blowup.cyclic_blow_up(g.copy(), bc, deadline)
-    K = kres.kernel
-    log = kres.log
-
-    stats = {"branches": 0, "max_depth": 0}
-    stats.update(kres.stats)
-    stats["offset"] = kres.offset
+    stats = {"branches": 0, "max_depth": 0, **kres.stats,
+             "offset": kres.offset}
     in_recursion_cfg = replace(bc, rules=tuple(
         r for r in RULE_ORDER if r not in ("plateau_struction", "twin")))
     sh = _Shared(deadline, in_recursion_cfg, stats)
     inc = _Incumbent()
     status = OPTIMAL
     try:
-        _search(K, log, sh, inc, True, 0)
+        _search(kres.kernel, kres.log, sh, inc, True, 0)
     except _Timeout:
         status = TIME_LIMIT
-        if inc.solution is None:
-            # never got past the first deadline check, so K and the log are
-            # still the preprocessing result: lift a local-search solution
-            # of the kernel
-            sol = lift(log, local_search(K)[1])
-            inc.W = sum(g.weight(v) for v in sol)
-            inc.solution = sol
     if not verify_lift(g, inc.solution, inc.W):
         raise AssertionError(f"{status} solution failed lift verification")
     return SolveResult(inc.W, inc.solution, status, stats)

@@ -94,9 +94,7 @@ VARIANTS = ("original", "modified", "extended", "extended_reduced")
 
 
 def _offset_delta(e):
-    if isinstance(e, IncludedVertex):
-        return e.w
-    if isinstance(e, DegreeTwoFold):
+    if isinstance(e, (IncludedVertex, DegreeTwoFold)):
         return e.w
     if isinstance(e, Struction):
         return e.center_weight
@@ -251,8 +249,11 @@ def verify_lift(original, lifted, expected_weight):
 
 _MAGIC = b"TLOG"
 _VERSION = 1
-_TAGS = {IncludedVertex: 1, ExcludedVertex: 2, TwinMerge: 3,
-         DegreeTwoFold: 4, Struction: 5}
+# fixed-size events: tag and the struct format of their fields, in order
+_CODEC = {IncludedVertex: (1, "<QQ"), ExcludedVertex: (2, "<Q"),
+          TwinMerge: (3, "<QQ"), DegreeTwoFold: (4, "<QQQQQ")}
+_BY_TAG = {tag: (cls, fmt) for cls, (tag, fmt) in _CODEC.items()}
+_STRUCTION_TAG = 5
 _PTAGS = {Pair: 1, VertexSet: 2, VertexSetPlus: 3}
 
 
@@ -261,14 +262,10 @@ def _pack_ids(ids):
 
 
 def _pack_event(e):
-    if isinstance(e, IncludedVertex):
-        return struct.pack("<QQ", e.v, e.w)
-    if isinstance(e, ExcludedVertex):
-        return struct.pack("<Q", e.v)
-    if isinstance(e, TwinMerge):
-        return struct.pack("<QQ", e.kept, e.absorbed)
-    if isinstance(e, DegreeTwoFold):
-        return struct.pack("<QQQQQ", e.v, e.u, e.x, e.folded, e.w)
+    """The event's tag and payload."""
+    if type(e) in _CODEC:
+        tag, fmt = _CODEC[type(e)]
+        return tag, struct.pack(fmt, *vars(e).values())
     out = [struct.pack("<BQQ", VARIANTS.index(e.variant), e.center, e.center_weight)]
     out.append(_pack_ids(e.neighbors))
     out.append(struct.pack("<I", len(e.removed)))
@@ -283,14 +280,14 @@ def _pack_event(e):
             out.append(_pack_ids(prov.c))
         else:
             out.append(_pack_ids(prov.c) + struct.pack("<Q", prov.y))
-    return b"".join(out)
+    return _STRUCTION_TAG, b"".join(out)
 
 
 def to_bytes(log):
     out = [_MAGIC, struct.pack("<HQ", _VERSION, len(log.events))]
     for e in log.events:
-        payload = _pack_event(e)
-        out.append(struct.pack("<BI", _TAGS[type(e)], len(payload)))
+        tag, payload = _pack_event(e)
+        out.append(struct.pack("<BI", tag, len(payload)))
         out.append(payload)
     return b"".join(out)
 
@@ -314,15 +311,10 @@ class _Reader:
 
 
 def _unpack_event(tag, rd):
-    if tag == 1:
-        return IncludedVertex(*rd.take("<QQ"))
-    if tag == 2:
-        return ExcludedVertex(*rd.take("<Q"))
-    if tag == 3:
-        return TwinMerge(*rd.take("<QQ"))
-    if tag == 4:
-        return DegreeTwoFold(*rd.take("<QQQQQ"))
-    if tag != 5:
+    if tag in _BY_TAG:
+        cls, fmt = _BY_TAG[tag]
+        return cls(*rd.take(fmt))
+    if tag != _STRUCTION_TAG:
         raise CorruptLog(f"unknown event tag {tag}")
     vi, center, cw = rd.take("<BQQ")
     if vi >= len(VARIANTS):

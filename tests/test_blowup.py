@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 import time
 
@@ -127,6 +128,29 @@ def test_blow_up_retry_caps(monkeypatch, n_max, caps, status):
 def test_blowup_config_fields():
     assert {f.name for f in fields(BlowupConfig)} == {
         "X", "n_max", "d_max", "variant", "rules"}
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("variant", "bogus", "'bogus'"),
+    ("rules", ("domination", "twins"), "'twins'"),
+    ("X", -1, "X must be >= 0, got -1"),
+    ("n_max", -2, "n_max must be >= 0, got -2"),
+    ("d_max", -3, "d_max must be >= 0, got -3"),
+])
+def test_blowup_config_rejects_a_bad_value(key, value, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        BlowupConfig(**{key: value})
+    # replace builds a new config, so it checks again
+    with pytest.raises(ValueError, match=re.escape(named)):
+        replace(make_blowup_config("cyclic-fast"), **{key: value})
+
+
+def test_preprocess_rejects_an_unknown_variant_before_any_work():
+    # a path reduces without a struction, so only the config check sees
+    # the variant there
+    for g in (mwis.random_path_graph(30, 1), mwis.random_gnp_graph(40, 0.1, 1)):
+        with pytest.raises(ValueError, match="'bogus'"):
+            preprocess(g, variant="bogus")
 
 
 def test_blow_up_retries_a_zero_bound(monkeypatch):

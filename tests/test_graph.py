@@ -118,6 +118,13 @@ def test_subgraph_preserves_ids_and_next_id(c4a):
     assert c4a == before
 
 
+def test_subgraph_rejects_an_inactive_vertex(c4a):
+    c4a.remove_vertex(3)
+    for ids in ([0, 3], [9]):
+        with pytest.raises(InactiveVertex):
+            c4a.subgraph(ids)
+
+
 edges_strategy = st.lists(
     st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]),
     max_size=25,

@@ -391,6 +391,31 @@ def test_time_limit_before_search_lifts_a_local_search_of_the_kernel():
     assert res.weight >= 3000  # the optimum is 3511
 
 
+@pytest.mark.parametrize("mode", list(mwis.PRESETS))
+def test_an_expired_deadline_returns_the_lifted_local_search_of_the_kernel(
+        mode):
+    # the first deadline check comes after the root's local search, and
+    # an expired deadline starts no blow-up phase
+    g = mwis.random_gnp_graph(150, 0.05, 2)
+    kres = mwis.preprocess(g.copy(), "nonincreasing")
+    res = solve(g, mode, 0)
+    assert res.status == TIME_LIMIT and res.stats["branches"] == 0
+    assert res.weight == kres.offset + local_search(kres.kernel)[0] == 5515
+    assert verify_lift(g, res.solution, res.weight)
+    assert solve(g, mode, 0).solution == res.solution
+
+
+@pytest.mark.parametrize("limit", [float("nan"), -1, -1e-9, float("-inf"),
+                                   "5"])
+def test_solve_rejects_a_bad_time_limit(p3a, limit):
+    with pytest.raises(ValueError, match="time_limit"):
+        solve(p3a, time_limit=limit)
+
+
+def test_solve_takes_an_infinite_time_limit(p3a):
+    assert solve(p3a, time_limit=float("inf")).status == OPTIMAL
+
+
 def test_time_limit_covers_cyclic_preprocessing():
     g = mwis.random_gnp_graph(80, 0.08, seed=31)
     import time

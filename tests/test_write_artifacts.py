@@ -20,14 +20,18 @@ def _load(monkeypatch):
 
 def test_corpus_is_the_documented_commands(monkeypatch):
     ops = list(_load(monkeypatch)._ops())
-    # 100 c5 graphs x 3 presets, 2 gnp-solve graphs, 8 gnp(40) seeds x 3
-    # presets, the sparse graph x 2 presets, 20 c5 graphs x 3 variants x 3,
-    # the small sparse graph x 3 variants x 2 cyclic presets
+    # 100 c5 graphs x 3 presets, 2 gnp-solve graphs x (1 + 3 presets under
+    # --time-limit 0), 8 gnp(40) seeds x 3 presets, the sparse graph x 2
+    # presets, 20 c5 graphs x 3 variants x 3, the small sparse graph x 3
+    # variants x 2 cyclic presets
     assert [len(runs) for _inst, runs in ops] == (
-        [3] * 100 + [1] * 2 + [3] * 8 + [2] + [9] * 20 + [6])
+        [3] * 100 + [4] * 2 + [3] * 8 + [2] + [9] * 20 + [6])
     cmds = [cmd for _inst, runs in ops for cmd, _stem, _flags in runs]
-    assert len(cmds) == 300 + 2 + 24 + 2 + 180 + 6 == 514
-    assert cmds.count("solve") == 2 + 24
+    assert len(cmds) == 300 + 8 + 24 + 2 + 180 + 6 == 520
+    assert cmds.count("solve") == 8 + 24
+    limited = [stem for _inst, runs in ops for _cmd, stem, flags in runs
+               if "--time-limit" in flags]
+    assert len(limited) == 6 and all(s.endswith(".t0") for s in limited)
 
 
 def test_first_reduce_and_first_solve_write_their_files(monkeypatch, tmp_path):

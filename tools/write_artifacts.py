@@ -16,7 +16,10 @@ Each checkout imports its own `src/` and the instance streams of its own
 would invoke it.  The corpus:
 
 * reduce, under all three presets, of the 100 criterion-5 graphs;
-* solve of the two `gnp-solve` benchmark graphs;
+* solve of the two `gnp-solve` benchmark graphs, under `nonincreasing`
+  and, with `--time-limit 0`, under all three presets (deterministic: the
+  first deadline check comes after the initial reduction and the root's
+  local search);
 * solve of gnp(40, 0.12) with seeds 0-7 under all three presets;
 * reduce of a sparse graph (n=3000, m=5250) under `nonincreasing` and
   `cyclic-fast`;
@@ -40,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
-from mwis.cli import main as mwis_main  # noqa: E402
+from mwis.cli import EXIT_TIME_LIMIT, main as mwis_main  # noqa: E402
 
 PRESETS = ("nonincreasing", "cyclic-fast", "cyclic-strong")
 VARIANTS = ("original", "modified", "extended_reduced")
@@ -55,7 +58,9 @@ def _ops():
     for inst in (inputs.gnp_graph(150, 0.05, seed=2),
                  inputs.gnp_graph(100, 0.1, seed=3)):
         yield inst, [("solve", f"{inst.name}.nonincreasing",
-                      ["--mode", "nonincreasing"])]
+                      ["--mode", "nonincreasing"])] + [
+            ("solve", f"{inst.name}.{p}.t0", ["--mode", p, "--time-limit", "0"])
+            for p in PRESETS]
     for seed in range(8):
         inst = inputs.gnp_graph(40, 0.12, seed=seed)
         yield inst, [("solve", f"{inst.name}.{p}", ["--mode", p])
@@ -77,7 +82,8 @@ def _run(argv):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = mwis_main(argv)
-    if code != 0:
+    # a solve under --time-limit 0 always hits the limit
+    if code != (EXIT_TIME_LIMIT if "--time-limit" in argv else 0):
         raise SystemExit(f"mwis {' '.join(argv)} exited {code}: "
                          f"{sink.getvalue()[-300:]}")
 
