@@ -11,7 +11,8 @@ reduced.  The second test is skipped when it would repeat the first.
         if W is set:            stop at the deadline
                                 if c + UpperBound(G, W - c) <= W:  return W
         (G, c) <- Reduce(G, c) around what the branch changed
-        if W is unset:          W <- c + local_search(G);  stop at the deadline
+        if W is unset:          W <- c + local_search(G)
+                                if V(G) is non-empty:  stop at the deadline
         elif Reduce left G as it was:  skip the next test
         if c + UpperBound(G, W - c) <= W:  return W
         if V(G) is empty:       return max(W, c)
@@ -395,7 +396,7 @@ class _Shared:
         self.stats = stats
 
     def check_time(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise _Timeout
 
 
@@ -425,11 +426,12 @@ def _search(G, log, sh, inc, seed_ls, depth):
     before = len(log)
     _reduce_into(G, sh.cfg, log, sh.stats, ())
     c = log.offset
+    n = len(G._w)
     if seed_ls:
         lw, lset = local_search(G)
         inc.offer(c + lw, log, lset)
-        sh.check_time()
-    n = len(G._w)
+        if n:
+            sh.check_time()
     # a reduction that recorded nothing left the graph, the offset and the
     # incumbent as the entry check saw them, so the check cannot prune now
     if (not (checked and len(log) == before)

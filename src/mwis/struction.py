@@ -227,78 +227,64 @@ def modified_struction(g, v, cap, log):
     return _pair_struction(g, v, cap, log, modified=True)
 
 
-def extended_struction(g, v, cap, log):
-    """Remove N[v]; encode every independent neighbor set outweighing v."""
-    wv = g._w[v]
-    nbrs = sorted(g._nbs[v])
-    sets = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=False)
-    if isinstance(sets, Aborted):
-        return sets
-    return _replace_closed_neighborhood(
-        g, v, wv, nbrs, log, "extended",
-        core_sets=sets, extensions=())
-
-
-def extended_reduced_struction(g, v, cap, log):
-    """As extended, but only minimal exceeding sets plus extension vertices."""
-    nbs = g._nbs
-    wv = g._w[v]
-    nbrs = sorted(nbs[v])
-    minimal = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=True)
-    if isinstance(minimal, Aborted):
-        return minimal
-    extensions = []
-    for ci, ns in enumerate(minimal):
-        cset = set(ns.members)
-        for y in nbrs:
-            if y not in cset and not any(y in nbs[u] for u in ns.members):
-                extensions.append((ci, y))
-    if len(minimal) + len(extensions) > cap:
-        return Aborted("cap")
-    return _replace_closed_neighborhood(
-        g, v, wv, nbrs, log, "extended_reduced",
-        core_sets=minimal, extensions=extensions)
-
-
-def _replace_closed_neighborhood(g, v, wv, nbrs, log, variant, core_sets,
-                                 extensions):
+def _extended_struction(g, v, cap, log, reduced):
     w, nbs = g._w, g._nbs
-    closed = {v, *nbrs}
-    removed = ((v, wv),) + tuple((u, w[u]) for u in nbrs)
+    wv = w[v]
+    nbrs = sorted(nbs[v])
+    core_sets = enumerate_exceeding_sets(g, nbrs, wv, cap, minimal_only=reduced)
+    if isinstance(core_sets, Aborted):
+        return core_sets
+    # extension vertices (reduced only): a minimal set ci plus a neighbor y
+    # that is neither in it nor adjacent to it
+    extensions = []
+    if reduced:
+        for ci, ns in enumerate(core_sets):
+            for y in nbrs:
+                if y not in ns.members and nbs[y].isdisjoint(ns.members):
+                    extensions.append((ci, y))
+        if len(core_sets) + len(extensions) > cap:
+            return Aborted("cap")
 
     # no new vertex touches N[v], so its sets read the same until it is
     # removed below.  Encoding vertices form a clique; an extension vertex
     # conflicts with everything built from a different set, and with
     # same-set extensions whose added members are adjacent
+    closed = {v, *nbrs}
+    removed = ((v, wv),) + tuple((u, w[u]) for u in nbrs)
     created = []
     core_ids = []
     for ns in core_sets:
-        outside = set()
-        for u in ns.members:
-            outside.update(nbs[u])
+        outside = set().union(*(nbs[u] for u in ns.members))
         nid = g.add_vertex(ns.weight - wv, sorted(outside - closed) + core_ids)
         core_ids.append(nid)
         created.append((nid, ns.weight - wv, VertexSet(ns.members)))
-    ext_ids = []
-    for i, (ci, y) in enumerate(extensions):
-        outside = set(nbs[y])
-        for u in core_sets[ci].members:
-            outside.update(nbs[u])
-        targets = sorted(outside - closed)
-        targets += [cid for j, cid in enumerate(core_ids) if j != ci]
-        targets += [ext_ids[k] for k, (cj, y2) in enumerate(extensions[:i])
-                    if ci != cj or y2 in nbs[y]]
-        nid = g.add_vertex(w[y], targets)
-        ext_ids.append(nid)
-        created.append((nid, w[y], VertexSetPlus(core_sets[ci].members, y)))
+    for ci, y in extensions:
+        c = core_sets[ci].members
+        outside = set(nbs[y]).union(*(nbs[u] for u in c))
+        targets = (sorted(outside - closed)
+                   + [cid for j, cid in enumerate(core_ids) if j != ci]
+                   + [cid for cid, _w, p in created[len(core_ids):]
+                      if p.c != c or p.y in nbs[y]])
+        created.append((g.add_vertex(w[y], targets), w[y],
+                        VertexSetPlus(c, y)))
 
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
-
-    event = Struction(variant, v, wv, tuple(nbrs), removed, tuple(created))
+    event = Struction("extended_reduced" if reduced else "extended", v, wv,
+                      tuple(nbrs), removed, tuple(created))
     log.record(event)
     return event
+
+
+def extended_struction(g, v, cap, log):
+    """Remove N[v]; encode every independent neighbor set outweighing v."""
+    return _extended_struction(g, v, cap, log, reduced=False)
+
+
+def extended_reduced_struction(g, v, cap, log):
+    """As extended, but only minimal exceeding sets plus extension vertices."""
+    return _extended_struction(g, v, cap, log, reduced=True)
 
 
 VARIANT_OPS = {

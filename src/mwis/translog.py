@@ -6,9 +6,10 @@ applies each event's inverse rule, turning an independent set of the final
 (kernel) graph into an independent set of the original graph whose weight is
 the kernel weight plus the accumulated offset.
 
-Struction events snapshot everything the inverse rule needs (center weight,
-neighbor ids, removed vertices with weights, created vertices with their
-provenance), because by lift time the graph that produced them is gone.
+Struction events snapshot what the inverse rule needs (the center, its
+neighbor ids and each created vertex's provenance), because by lift time the
+graph that produced them is gone.  The removed vertices with their weights
+are kept for the wire format only; lift does not read them.
 """
 
 import struct
@@ -59,18 +60,23 @@ class DegreeTwoFold:
     w: int
 
 
-# provenance of a struction-created vertex
+# provenance of a struction-created vertex: its members are the old vertices
+# it stands for, and created vertices with different bases are adjacent
 @dataclass(frozen=True)
 class Pair:
     """Encodes picking both neighbors x and y (original/modified variants)."""
     x: int
     y: int
+    base = property(lambda self: self.x)
+    members = property(lambda self: (self.x, self.y))
 
 
 @dataclass(frozen=True)
 class VertexSet:
     """Encodes picking the independent neighbor set c (extended variants)."""
     c: tuple
+    base = property(lambda self: self.c)
+    members = property(lambda self: self.c)
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,8 @@ class VertexSetPlus:
     """Encodes picking y on top of c (extension vertices, extended-reduced)."""
     c: tuple
     y: int
+    base = property(lambda self: self.c)
+    members = property(lambda self: self.c + (self.y,))
 
 
 @dataclass(frozen=True)
@@ -127,9 +135,11 @@ def lift(log, kernel_solution):
     """Replay the log backwards, mapping a kernel solution to the original graph.
 
     The inverse rules assume the input is an independent set of the final
-    graph; violations that are visible from the log alone (picking two
-    created vertices the construction made adjacent) raise NotIndependent,
-    and impossible states raise CorruptLog.
+    graph; violations that are visible from the log alone raise
+    NotIndependent, and impossible states raise CorruptLog.  Every struction
+    has one inverse: a created vertex stands for its provenance's members,
+    and the picks among one struction's created vertices, which must share
+    a base, lift to the union of their members (see _undo_struction).
     """
     cur = set(kernel_solution)
     for e in reversed(log.events):
@@ -155,63 +165,30 @@ def lift(log, kernel_solution):
 
 
 def _undo_struction(e, cur):
-    created = {cid: prov for cid, _w, prov in e.created}
-    chosen = [cid for cid in created if cid in cur]
-    if e.variant == "original":
-        return _undo_pairs(e, cur, created, chosen, modified=False)
-    if e.variant == "modified":
-        return _undo_pairs(e, cur, created, chosen, modified=True)
-    if e.variant in ("extended", "extended_reduced"):
-        return _undo_sets(e, cur, created, chosen)
-    raise CorruptLog(f"unknown struction variant {e.variant!r}")
-
-
-def _undo_pairs(e, cur, created, chosen, modified):
-    nbrs = set(e.neighbors)
-    if chosen:
-        layers = {created[cid].x for cid in chosen}
-        if len(layers) > 1:
-            raise NotIndependent("picked pair vertices from different layers")
-        x = layers.pop()
-        seconds = {created[cid].y for cid in chosen}
-        if modified:
-            # v_{x,y} is adjacent to y itself and to every neighbor k != x
-            if cur & seconds or any(k in cur for k in nbrs if k != x):
-                raise NotIndependent("pair vertex picked next to its neighbor")
-        for cid in created:
-            cur.discard(cid)
-        cur.add(x)
-        cur.update(seconds)
-    elif cur & nbrs:
-        pass  # some neighbor stands in for the center's weight
-    else:
-        cur.add(e.center)
-    return cur
-
-
-def _undo_sets(e, cur, created, chosen):
-    # an extended struction creates VertexSet vertices only, so ext is empty
-    core = [cid for cid in chosen if isinstance(created[cid], VertexSet)]
-    ext = [cid for cid in chosen if isinstance(created[cid], VertexSetPlus)]
-    if len(core) > 1:
-        raise CorruptLog(f"two encoding vertices picked at center {e.center}")
-    if core:
-        c = created[core[0]].c
-        if any(created[cid].c != c for cid in ext):
-            raise NotIndependent("extension vertex picked across sets")
-        cur.discard(core[0])
-    elif ext:
-        sets = {created[cid].c for cid in ext}
-        if len(sets) > 1:
-            raise NotIndependent("extension vertices picked across sets")
-        c = sets.pop()
-    else:
-        cur.add(e.center)
+    """The one inverse of every struction variant.  With no created vertex
+    picked, the center joins unless a neighbor stands in for its weight
+    (only the pair variants keep N(v), so an extended struction always adds
+    it).  Otherwise the picks must share one base, and under modified no
+    neighbor but the base may be picked: the created ids give way to the
+    union of the picks' members."""
+    if e.variant not in VARIANTS:
+        raise CorruptLog(f"unknown struction variant {e.variant!r}")
+    picks = [prov for cid, _w, prov in e.created if cid in cur]
+    if not picks:
+        if cur.isdisjoint(e.neighbors):
+            cur.add(e.center)
         return cur
-    for cid in ext:
-        cur.discard(cid)
-        cur.add(created[cid].y)
-    cur.update(c)
+    base = picks[0].base
+    if any(p.base != base for p in picks):
+        raise NotIndependent("created vertices of two bases picked at "
+                             f"center {e.center}")
+    # v_{x,y} of modified is adjacent to every neighbor k != x
+    if e.variant == "modified" and any(k in cur and k != base
+                                       for k in e.neighbors):
+        raise NotIndependent("pair vertex picked next to its neighbor")
+    cur.difference_update(cid for cid, _w, _p in e.created)
+    for p in picks:
+        cur.update(p.members)
     return cur
 
 
@@ -255,6 +232,8 @@ _CODEC = {IncludedVertex: (1, "<QQ"), ExcludedVertex: (2, "<Q"),
 _BY_TAG = {tag: (cls, fmt) for cls, (tag, fmt) in _CODEC.items()}
 _STRUCTION_TAG = 5
 _PTAGS = {Pair: 1, VertexSet: 2, VertexSetPlus: 3}
+# the provenance tags each variant creates, indexed like VARIANTS
+_VARIANT_PTAGS = ((1,), (1,), (2,), (2, 3))
 
 
 def _pack_ids(ids):
@@ -326,14 +305,15 @@ def _unpack_event(tag, rd):
     created = []
     for _ in range(ncre):
         cid, w, ptag = rd.take("<QQB")
+        if ptag not in _VARIANT_PTAGS[vi]:
+            raise CorruptLog(f"{VARIANTS[vi]} struction with provenance "
+                             f"tag {ptag}")
         if ptag == 1:
             prov = Pair(*rd.take("<QQ"))
         elif ptag == 2:
             prov = VertexSet(rd.take_ids())
-        elif ptag == 3:
-            prov = VertexSetPlus(rd.take_ids(), rd.take("<Q")[0])
         else:
-            raise CorruptLog(f"unknown provenance tag {ptag}")
+            prov = VertexSetPlus(rd.take_ids(), rd.take("<Q")[0])
         created.append((cid, w, prov))
     return Struction(VARIANTS[vi], center, cw, neighbors, removed, tuple(created))
 

@@ -243,13 +243,10 @@ def test_solve_rejects_a_time_limit_that_is_not_a_number_or_negative(
 def test_solve_accepts_a_zero_or_infinite_time_limit(tmp_path, p3a_file,
                                                      capsys, limit):
     sol = tmp_path / "p3a.sol"
-    rc = main(["solve", "--in", p3a_file, "--sol", str(sol),
-               "--time-limit", limit])
-    assert rc in (EXIT_OK, EXIT_TIME_LIMIT)
-    assert read_solution(str(sol))[0] <= 4
-    if limit == "inf":
-        assert rc == EXIT_OK
-        assert read_solution(str(sol))[0] == 4
+    # p3a reduces to an empty kernel, which is optimal under any limit
+    assert main(["solve", "--in", p3a_file, "--sol", str(sol),
+                 "--time-limit", limit]) == EXIT_OK
+    assert read_solution(str(sol))[0] == 4
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,6 +405,29 @@ def test_an_expired_deadline_returns_the_lifted_local_search_of_the_kernel(
     assert res.weight == kres.offset + local_search(kres.kernel)[0] == 5515
     assert verify_lift(g, res.solution, res.weight)
     assert solve(g, mode, 0).solution == res.solution
+
+
+@pytest.mark.parametrize("mode", list(mwis.PRESETS))
+def test_a_zero_time_limit_expires_at_once_on_a_frozen_clock(monkeypatch,
+                                                             mode):
+    # a clock that has not ticked since the deadline was set has reached it
+    frozen = SimpleNamespace(monotonic=lambda: 1000.0)
+    monkeypatch.setattr(solver, "time", frozen)
+    monkeypatch.setattr(mwis.blowup, "time", frozen)
+    res = solve(mwis.random_gnp_graph(150, 0.05, 2), mode, 0)
+    assert res.status == TIME_LIMIT and res.stats["branches"] == 0
+    assert res.weight == 5515
+
+
+def test_an_empty_kernel_is_optimal_under_an_expired_deadline(p3a,
+                                                              monkeypatch):
+    # a clock that ticks on every read: each check sees the deadline passed
+    ticking = SimpleNamespace(monotonic=itertools.count(1000).__next__)
+    monkeypatch.setattr(solver, "time", ticking)
+    monkeypatch.setattr(mwis.blowup, "time", ticking)
+    res = solve(p3a, time_limit=0)
+    assert res.status == OPTIMAL and res.weight == 4
+    assert res.stats["kernel_n"] == 0
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1, -1e-9, float("-inf"),

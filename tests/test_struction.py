@@ -11,7 +11,7 @@ from mwis.struction import NeighborhoodSet
 from mwis.translog import Pair, VertexSet, VertexSetPlus
 
 from reference import (exceeding_sets_eager, exceeding_sets_recursive,
-                       mwis_oracle, random_graph)
+                       is_independent, mwis_oracle, random_graph)
 
 
 def weights_of(g):
@@ -334,3 +334,44 @@ def test_every_variant_preserves_shifted_optimum(gc):
         for u in g.active_vertices():
             nbrs = g.neighbors(u)
             assert nbrs == sorted(set(nbrs))
+
+
+def _random_independent_set(rnd, g):
+    """Vertices in random order, each kept with one probability if none of
+    its neighbors is in yet: maximal for probability 1, sparse near 0."""
+    keep = rnd.random()
+    out = set()
+    order = sorted(g.active_vertices())
+    rnd.shuffle(order)
+    for u in order:
+        if rnd.random() < keep and not any(x in out for x in g.neighbors(u)):
+            out.add(u)
+    return out
+
+
+def test_every_variant_lifts_any_independent_set_to_one_no_lighter():
+    """The inverse needs no optimal kernel solution: any independent set S
+    of the struck graph lifts to an independent set of the input of weight
+    at least w(S) + w(v)."""
+    rnd = random.Random(20261020)
+    checks = 0
+    for _ in range(400):
+        n = rnd.randint(3, 12)
+        g0 = random_graph(rnd, n, rnd.choice([0.2, 0.4, 0.6]))
+        for name, op in mwis.VARIANT_OPS.items():
+            for v in range(n):
+                g = g0.copy()
+                log = TransformLog()
+                try:
+                    op(g, v, cap=10**9, log=log)
+                except NotMinimal:
+                    continue
+                for _ in range(10):
+                    s = _random_independent_set(rnd, g)
+                    lifted = lift(log, s)
+                    assert all(g0.is_active(u) for u in lifted), name
+                    assert is_independent(g0, lifted), name
+                    assert (sum(g0.weight(u) for u in lifted)
+                            >= sum(g.weight(u) for u in s) + log.offset), name
+                    checks += 1
+    assert checks > 50_000

@@ -101,7 +101,8 @@ def test_lift_extended_rejects_two_encoding_vertices():
                    ((5, 3, VertexSet((1,))), (6, 1, VertexSet((2,)))))
     log = TransformLog()
     log.record(ev)
-    with pytest.raises(CorruptLog):
+    # encoding vertices form a clique: their bases differ
+    with pytest.raises(NotIndependent):
         lift(log, {5, 6})
 
 
@@ -186,6 +187,19 @@ def test_roundtrip_empty_log():
 
 def test_serialization_is_deterministic():
     assert to_bytes(_sample_log()) == to_bytes(_sample_log())
+
+
+@pytest.mark.parametrize("variant, prov", [
+    ("original", VertexSet((1, 2))), ("modified", VertexSetPlus((1,), 2)),
+    ("extended", Pair(1, 2)), ("extended", VertexSetPlus((1,), 2)),
+    ("extended_reduced", Pair(1, 2))])
+def test_from_bytes_rejects_a_provenance_foreign_to_its_variant(variant,
+                                                                 prov):
+    log = TransformLog()
+    log.record(Struction(variant, 0, 1, (1, 2), ((0, 1),), ((5, 3, prov),)))
+    with pytest.raises(CorruptLog, match=f"{variant} struction with "
+                                         "provenance tag"):
+        from_bytes(to_bytes(log))
 
 
 def test_from_bytes_rejects_garbage():
