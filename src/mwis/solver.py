@@ -110,6 +110,10 @@ def upper_bound(g, limit=None):
     split, C + {v} becoming a new clique of level r while C keeps the rest.
     Weight still uncovered after the walk opens the clique {v}.
 
+    The walk reads `near[v]`, the ascending indices of the cliques whose
+    first member (it never changes) neighbours v: every clique inside N(v)
+    is there.  A split appends C + {v} there too, but ends the walk.
+
     The bound returned is the sum of the levels minus what `_refine` saves.
     A search node only asks whether the bound is at most the incumbent's
     margin, so with a limit the work stops once the answer is yes: the sum
@@ -122,47 +126,42 @@ def upper_bound(g, limit=None):
     w, nbs = g._w, g._nbs
     members = []   # clique index -> its vertices
     levels = []    # clique index -> its level
-    cliques_of = {}  # vertex -> indices of the cliques holding it, ascending
+    near = {v: [] for v in w}  # v -> cliques whose first member neighbours v
     for v in sorted(w, key=lambda u: (len(nbs[u]), -w[u], u)):
         r = w[v]
         if not r:
             continue
         nv = nbs[v]
-        joined = []
-        # a clique v is fully adjacent to holds some neighbour of v
-        for i in sorted({i for u in nv for i in cliques_of.get(u, ())}):
+        for i in near[v]:
             cl = members[i]
             if not nv.issuperset(cl):
                 continue
             if levels[i] <= r:
                 cl.append(v)
-                joined.append(i)
                 r -= levels[i]
             else:
                 levels[i] -= r
-                j = len(levels)
-                for u in cl:
-                    cliques_of[u].append(j)
+                for x in nbs[cl[0]]:
+                    near[x].append(len(levels))
                 members.append(cl + [v])
                 levels.append(r)
-                joined.append(j)
                 r = 0
             if not r:
                 break
         if r:
-            joined.append(len(levels))
+            for x in nv:
+                near[x].append(len(levels))
             members.append([v])
             levels.append(r)
-        cliques_of[v] = joined
     cover = sum(levels)
     if limit is None:
         limit = -1  # no bound is negative: refine all the way
     if cover <= limit:
         return cover
-    return cover - _refine(members, levels, nbs, cover - limit)
+    return cover - _refine(members, levels, nbs, cover - limit, near)
 
 
-def _refine(members, levels, nbs, enough):
+def _refine(members, levels, nbs, enough, near):
     """Lower the levels of a clique cover along conflict sets; return the
     total saved, or a partial total once it reaches `enough`.
 
@@ -178,25 +177,19 @@ def _refine(members, levels, nbs, enough):
     One-step sets: for a clique a, each member u takes b(u), the first
     clique by index that lies inside N(u) and still has a level.  An I
     hitting a at u misses b(u), so S = {a} + {b(u)} cannot be hit in full
-    (b(u) != a, as u is in a).
+    (b(u) != a, as u is in a).  b(u) is the first entry of `near[u]` (see
+    `upper_bound`) that has a level and lies inside N(u).
 
     Cliques a are visited by (size, index), each while it keeps a level and
     finds a set.  A clique that finds none keeps failing, as levels only
     fall, so one pass reaches a fixpoint.
     """
-    inside = {}  # vertex u -> ascending indices of the cliques inside N(u)
-    for b, cl in enumerate(members):
-        common = nbs[cl[0]]
-        for x in cl[1:]:
-            common = common & nbs[x]
-        for u in common:
-            inside.setdefault(u, []).append(b)
-
     def conflict_set(a):
         found = {a}
         for u in members[a]:
-            for b in inside.get(u, ()):
-                if levels[b]:
+            nu = nbs[u]
+            for b in near[u]:
+                if levels[b] and nu.issuperset(members[b]):
                     found.add(b)
                     break
             else:
@@ -227,14 +220,15 @@ def _improve(g, sol):
     Each swap strictly increases the weight, so this terminates.
     """
     w, nbs = g._w, g._nbs
+    ids = g.active_vertices()  # swaps never change the graph
     improved = True
     while improved:
         improved = False
-        for v in g.active_vertices():
+        for v in ids:
             if v in sol:
                 continue
             conflicts = nbs[v] & sol
-            if w[v] > sum(w[u] for u in conflicts):
+            if w[v] > sum(map(w.__getitem__, conflicts)):
                 sol.difference_update(conflicts)
                 sol.add(v)
                 improved = True

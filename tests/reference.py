@@ -243,6 +243,69 @@ def clique_cover_removal_fires(g, v):
     return sum(g.weight(cl[0]) for cl in cliques) <= g.weight(v)
 
 
+def clique_cover_bound(g, limit=None):
+    """The search's upper bound, written from its definition: a
+    weight-splitting clique cover lowered along one-step conflict sets.
+
+    Cover: take the vertices by ascending degree, then descending weight,
+    then ascending id, skipping zero weights.  A vertex v with remaining
+    weight r finds, among all cliques so far, those whose members all
+    neighbour v, and walks them in creation order: it joins a clique whose
+    level is at most r and pays that level; otherwise the clique keeps its
+    level minus r and a new clique, its members plus v, takes level r.  The
+    walk ends once r is 0; weight still left opens the clique {v}.
+
+    Refinement: visit the cliques by (size, index).  While clique a keeps a
+    level, each member u takes the first clique by index whose level is
+    positive and whose members all neighbour u; if every member finds one,
+    the least level among a and those cliques comes off each of them and
+    off the bound, otherwise go on to the next a.
+
+    With a limit the cover sum is returned when it is at most the limit,
+    and the refinement stops once the bound is at most the limit.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.active_vertices()}
+    order = sorted(adj, key=lambda v: (len(adj[v]), -g.weight(v), v))
+    cliques = []  # [members, level] in creation order
+    for v in order:
+        r = g.weight(v)
+        if r == 0:
+            continue
+        for clique in [c for c in cliques if adj[v].issuperset(c[0])]:
+            if clique[1] <= r:
+                clique[0].append(v)
+                r -= clique[1]
+            else:
+                clique[1] -= r
+                cliques.append([clique[0] + [v], r])
+                r = 0
+            if r == 0:
+                break
+        if r:
+            cliques.append([[v], r])
+    bound = sum(level for _, level in cliques)
+    if limit is not None and bound <= limit:
+        return bound
+
+    def first_inside(u):
+        return next((i for i, (cl, level) in enumerate(cliques)
+                     if level > 0 and adj[u].issuperset(cl)), None)
+
+    for a in sorted(range(len(cliques)), key=lambda i: (len(cliques[i][0]), i)):
+        while cliques[a][1] > 0:
+            firsts = [first_inside(u) for u in cliques[a][0]]
+            if None in firsts:
+                break
+            chosen = {a, *firsts}
+            delta = min(cliques[i][1] for i in chosen)
+            for i in chosen:
+                cliques[i][1] -= delta
+            bound -= delta
+            if limit is not None and bound <= limit:
+                return bound
+    return bound
+
+
 def planted_clique_graphs(seed, count):
     """(rnd, graph) pairs: sparse random graphs, most with a planted clique
     of up to 60 vertices whose members also keep some neighbors outside

@@ -3,7 +3,8 @@ that `brute_force_mwis` can check.
 
 Permuting the vertex ids must not change the optimum, and multiplying every
 weight by k must multiply it by k.  Every rule condition is scale-free, so
-scaling leaves the kernel size as it was too.  Every preset and every
+scaling leaves the kernel size as it was too; so is every comparison in
+the search's bound, so a kernel's bound scales by k.  Every preset and every
 struction variant reaches the same optimum, and a time-limited solve
 returns an independent set that weighs no more than it.  The optimum of a
 disjoint union is the sum of its parts' optima.
@@ -18,7 +19,8 @@ import random
 import pytest
 
 import mwis
-from mwis import TIME_LIMIT, lift, preprocess, solve, verify_lift
+from mwis import (TIME_LIMIT, lift, preprocess, solve, upper_bound,
+                  verify_lift)
 
 # (seed, n) of sparse gnp graphs (average degree 5) whose kernels are
 # not empty under nonincreasing, so the search runs
@@ -70,6 +72,18 @@ def test_optimum_survives_relabelling_and_scales_with_the_weights(seed, n,
     scaled = solve(_relabel(g, list(range(n)), SCALE), mode)
     assert scaled.weight == SCALE * base.weight
     assert scaled.stats["kernel_n"] == base.stats["kernel_n"]
+
+
+@pytest.mark.parametrize("seed, n", GRAPHS)
+def test_search_bound_scales_with_the_weights(seed, n):
+    """Every comparison in the clique cover and its refinement scales with
+    the weights, so the bound of the root kernel scales by k exactly."""
+    kernel = preprocess(mwis.random_gnp_graph(n, 5 / n, seed=seed)).kernel
+    assert kernel.active_vertices()
+    scaled = kernel.copy()
+    for v in scaled.active_vertices():
+        scaled.set_weight(v, SCALE * kernel.weight(v))
+    assert upper_bound(scaled) == SCALE * upper_bound(kernel)
 
 
 @pytest.mark.parametrize("seed, n", GRAPHS)

@@ -12,8 +12,8 @@ from mwis import (OPTIMAL, BlowupConfig, SizeLimit, TIME_LIMIT,
 from mwis import solver
 from mwis.solver import _branch_vertex
 
-from reference import (disjoint_union, is_independent, mwis_oracle,
-                       random_graph)
+from reference import (clique_cover_bound, disjoint_union, is_independent,
+                       mwis_oracle, random_graph)
 
 
 # -- exhaustive oracle ---------------------------------------------------------
@@ -150,6 +150,37 @@ def test_a_bound_with_a_limit_answers_the_same_question(monkeypatch):
                 cases["skipped"] += 1
     assert min(cases.values()) >= 200, cases
     assert sum(b < c for b, c in zip(exact, covers)) >= 50
+
+
+def test_upper_bound_matches_the_reference_bound():
+    """upper_bound(g) and upper_bound(g, L) equal the cover and refinement
+    written from their definition, for L below, at and above the bound.
+    Narrow weight ranges make ties common, and some weights are zero."""
+    rnd = random.Random(0xC1A55)
+    for _ in range(1500):
+        n = rnd.randint(1, 60)
+        g = random_graph(rnd, n, rnd.choice([0.05, 0.1, 0.2, 0.4, 0.7]),
+                         wmax=rnd.choice([1, 2, 3, 20, 1000]))
+        if rnd.random() < 0.3:
+            for v in range(n):
+                if rnd.random() < 0.3:
+                    g.set_weight(v, 0)
+        bound = clique_cover_bound(g)
+        assert upper_bound(g) == bound
+        for limit in {0, bound - 1, bound, bound + 1, rnd.randint(0, bound)}:
+            assert upper_bound(g, limit) == clique_cover_bound(g, limit)
+
+
+def test_a_split_inside_a_walk_ends_it():
+    # star with centre 3 and leaves 1 (weight 5), 0 and 2 (weight 1): the
+    # leaves open {1}, {0} and {2}.  The centre (weight 3) walks all three
+    # but splits {1} first, into {1} at level 2 and {1, 3} at level 3, and
+    # stops there: {0} and {2} keep their leaves alone
+    g = mwis.new_graph(4, [1, 5, 1, 3])
+    for leaf in (0, 1, 2):
+        g.add_edge(leaf, 3)
+    assert upper_bound(g) == clique_cover_bound(g) == 7
+    assert brute_force_mwis(g)[0] == 7
 
 
 def test_local_search_returns_valid_lower_bound(c4a):
