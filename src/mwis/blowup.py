@@ -20,13 +20,12 @@ cyclic_blow_up, the one entry point that kernelizes.
 
 Blow-up candidates are ranked by estimated net growth bound - (deg + 1),
 where bound starts at L, the number of exceeding independent sets of size
-at most two.  A struction attempt is capped at min(2*bound - 1, n_max); a
-cap abort below n_max raises the bound to max(2*bound, 1) and retries later
-(tightness check), so a centre is retried O(log n_max) times; anything else
-excludes the vertex (EXCLUDED).  An attempt reads only the weighted
-G[N[v]], its cap and the variant, so a bound or exclusion stands while
-G[N[v]] stands, as in the reduction; under the original and modified
-variants G[N[v]] can return to an earlier state and repeat a failure.
+at most two.  A struction attempt is capped at min(2*bound - 1, n_max);
+blow_up's retry rule (tightness check) doubles the bound, so a centre is
+retried O(log n_max) times.  An attempt reads only the weighted G[N[v]],
+its cap and the variant, so a bound or exclusion stands while G[N[v]]
+stands, as in the reduction; under the original and modified variants
+G[N[v]] can return to an earlier state and repeat a failure.
 """
 
 import time
@@ -91,8 +90,9 @@ def make_blowup_config(mode):
 
 
 def estimate_L(g, v):
-    """Exceeding independent sets of size <= 2 inside N(v): a lower bound
-    on how many vertices a struction at v would create."""
+    """Exceeding independent sets of size <= 2 inside N(v), counted in
+    full: the starting bound of a blow-up candidate.  It bounds from below
+    how many vertices an extended struction at v creates."""
     return count_small_exceeding_sets(g, v)
 
 
@@ -101,7 +101,10 @@ def blow_up(K, bounds, cfg, log):
     (CHANGED, center), leaving exactly the struction's change on K's
     record (cleared on entry; failed attempts write nothing), or
     (NO_CANDIDATE, None).  bounds maps a vertex to its bound on its current
-    G[N[v]], or to EXCLUDED; a vertex without an entry starts at L."""
+    G[N[v]], or to EXCLUDED; a vertex without an entry starts at L.  The
+    one retry rule: a cap abort below n_max doubles the bound, and every
+    other failure (NotMinimal, a budget abort, a cap abort at n_max)
+    excludes v."""
     K.take_changed()
     while True:
         best = None
@@ -124,19 +127,12 @@ def blow_up(K, bounds, cfg, log):
         try:
             out = VARIANT_OPS[cfg.variant](K, v, cap, log)
         except NotMinimal:
-            bounds[v] = EXCLUDED
-            continue
-        if isinstance(out, Aborted):
-            if out.reason == "budget" or cap == cfg.n_max:
-                # the cap that failed was the global one (or the enumeration
-                # gave up): shelve v until its neighborhood changes
-                bounds[v] = EXCLUDED
-            else:
-                # tightness failure: retry later with the bound doubled; 1
-                # lifts the L = 0 bound
-                bounds[v] = max(2 * b, 1)
-            continue
-        return CHANGED, v
+            retry = False
+        else:
+            if not isinstance(out, Aborted):
+                return CHANGED, v
+            retry = out.reason == "cap" and cap < cfg.n_max
+        bounds[v] = max(2 * b, 1) if retry else EXCLUDED  # 1 lifts L = 0
 
 
 def cyclic_blow_up(g, cfg, deadline=None):

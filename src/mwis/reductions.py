@@ -29,7 +29,8 @@ one another in a chain, so they are bounded by 4|V| applications per call.
 
 import heapq
 
-from .struction import VARIANT_OPS, Aborted, count_small_exceeding_sets
+from .struction import (VARIANT_OPS, Aborted, NotMinimal,
+                        count_small_exceeding_sets)
 from .translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
 RULE_ORDER = (
@@ -183,36 +184,34 @@ def twin_merge(g, v, log):
 
 # -- struction rules -----------------------------------------------------------
 
-def _must_exceed_cap(g, v, cfg, cap):
-    """True when an extended struction at v is bound to abort.
-
-    The extended variant creates one vertex per exceeding independent set
-    of N(v), so more than `cap` such sets of size <= 2 mean its enumeration
-    ends in Aborted (on the cap, or on the node budget first).  This does
-    not hold for extended_reduced, which keeps only the minimal sets.
-    """
-    return (cfg.variant == "extended"
-            and count_small_exceeding_sets(g, v, cap) > cap)
-
-
 def _struction(g, v, cfg, log, extra):
     """Apply the configured variant at v if it creates at most `extra`
-    more vertices than it removes."""
-    w, nbs = g._w, g._nbs
-    d = len(nbs[v])
+    more vertices than it removes.
+
+    The pair variants remove only v, so their cap counts created vertices
+    alone; the builder refuses a centre heavier than a neighbor
+    (NotMinimal).  The extended variants remove N[v], and when more than
+    `cap` independent sets of size <= 2 in N(v) outweigh v, the attempt is
+    skipped: it would abort, since each such set gets a created vertex of
+    its own.  Extended encodes every exceeding set.  Extended-reduced
+    encodes a singleton, and a pair neither of whose members alone
+    outweighs v, as a minimal set; a pair {u, x} where u alone outweighs v
+    (the lower id if both do) as the extension of {u} by x.
+    """
+    d = len(g._nbs[v])
     if d > cfg.d_max:
         return False
     if cfg.variant in ("original", "modified"):
-        # these remove only v, so the cap counts created vertices alone
-        wv = w[v]
-        if any(w[u] < wv for u in nbs[v]):
-            return False
         cap = extra
     else:
         cap = d + extra
-    if _must_exceed_cap(g, v, cfg, cap):
+        if count_small_exceeding_sets(g, v, cap) > cap:
+            return False
+    try:
+        out = VARIANT_OPS[cfg.variant](g, v, cap, log)
+    except NotMinimal:
         return False
-    return not isinstance(VARIANT_OPS[cfg.variant](g, v, cap, log), Aborted)
+    return not isinstance(out, Aborted)
 
 
 def decreasing_struction(g, v, cfg, log):
@@ -250,7 +249,8 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
     """
     rules = [r for r in RULE_ORDER if r in cfg.rules]
     cheap = [(r, _BIT[r]) for r in rules if r in _SIMPLE_RULES]
-    expensive = [r for r in rules if r not in _SIMPLE_RULES]
+    decreasing = "decreasing_struction" in cfg.rules
+    plateau = "plateau_struction" in cfg.rules
     runs = sum(_BIT[r] for r in rules)
     budget = 4 * len(g._w)
     w = g._w
@@ -271,7 +271,7 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
                     heapq.heappush(cheap_heap, x)
                 else:
                     pending[x] = m | mask
-        if expensive and mask & _STRUCTIONS:
+        if mask & runs & _STRUCTIONS:
             for x in vs:
                 if x not in exp_q:
                     exp_q.add(x)
@@ -311,18 +311,11 @@ def _reduce_into(g, cfg, log, stats, seeds=None):
         if v not in w:
             continue
         n = len(w)
-        for rule in expensive:
-            if rule == "decreasing_struction":
-                applied = decreasing_struction(g, v, cfg, log)
-            elif budget <= 0:
-                applied = False
-            else:
-                applied = plateau_struction(g, v, cfg, log)
-                if applied:
-                    budget -= 1
-            if applied:
-                fire(rule, n)
-                break
+        if decreasing and decreasing_struction(g, v, cfg, log):
+            fire("decreasing_struction", n)
+        elif plateau and budget > 0 and plateau_struction(g, v, cfg, log):
+            budget -= 1
+            fire("plateau_struction", n)
     return struck
 
 

@@ -232,9 +232,7 @@ def _improve(g, sol):
                 sol.difference_update(conflicts)
                 sol.add(v)
                 improved = True
-        for u in sorted(sol):
-            if u not in sol:
-                continue
+        for u in sorted(sol):  # a swap removes only the current u
             # x is free when u is its only neighbor in the solution
             free = [x for x in sorted(nbs[u])
                     if x not in sol and len(nbs[x] & sol) == 1]
@@ -413,9 +411,8 @@ def _search(G, log, sh, inc, seed_ls, depth):
     if depth > sh.stats["max_depth"]:
         sh.stats["max_depth"] = depth
     # the bound is far cheaper than a re-reduction; a component's first
-    # node has no incumbent yet and must produce one
-    checked = inc.solution is not None
-    if checked and log.offset + upper_bound(G, inc.W - log.offset) <= inc.W:
+    # node (seed_ls) has no incumbent yet and must produce one
+    if not seed_ls and log.offset + upper_bound(G, inc.W - log.offset) <= inc.W:
         return
     before = len(log)
     _reduce_into(G, sh.cfg, log, sh.stats, ())
@@ -428,7 +425,7 @@ def _search(G, log, sh, inc, seed_ls, depth):
             sh.check_time()
     # a reduction that recorded nothing left the graph, the offset and the
     # incumbent as the entry check saw them, so the check cannot prune now
-    if (not (checked and len(log) == before)
+    if ((seed_ls or len(log) != before)
             and c + (upper_bound(G, inc.W - c) if n else 0) <= inc.W):
         return
     if n == 0:

@@ -122,18 +122,16 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
         weight, min_w = cw, cm
 
 
-def count_small_exceeding_sets(g, v, stop_above=None):
+def count_small_exceeding_sets(g, v, stop_above=float("inf")):
     """Independent sets of size <= 2 inside N(v) that outweigh v.
 
-    An extended struction at v creates one vertex for each of them, so the
-    count is a lower bound on its size.  With stop_above, counting stops as
-    soon as the count passes that value.
+    Either extended variant at v creates at least this many vertices (the
+    lemma is at reductions._struction).  Counting stops as soon as the
+    count passes stop_above.
     """
     w, nbs = g._w, g._nbs
     wv = w[v]
     nbrs = list(nbs[v])
-    if stop_above is None:
-        stop_above = len(nbrs) * (len(nbrs) + 1) // 2
     count = 0
     for u in nbrs:
         if w[u] > wv:
@@ -151,35 +149,17 @@ def count_small_exceeding_sets(g, v, stop_above=None):
     return count
 
 
-def _require_minimal(w, v, wv, nbrs):
-    for u in nbrs:
-        if w[u] < wv:
-            raise NotMinimal(
-                f"center {v} (weight {wv}) is heavier than neighbor {u}")
-
-
-def _nonadjacent_pairs(nbrs, nbs):
-    pairs = []
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if y not in nbs[x]:
-                pairs.append((x, y))
-    return pairs
-
-
-def _cleanup_zero_neighbors(g, nbrs, log):
-    for u in nbrs:
-        if g._w.get(u) == 0:
-            log.record(ExcludedVertex(u))
-            g.remove_vertex(u)
-
-
 def _pair_struction(g, v, cap, log, modified):
     w, nbs = g._w, g._nbs
     wv = w[v]
     nbrs = sorted(nbs[v])
-    _require_minimal(w, v, wv, nbrs)
-    pairs = _nonadjacent_pairs(nbrs, nbs)
+    for u in nbrs:
+        if w[u] < wv:
+            raise NotMinimal(
+                f"center {v} (weight {wv}) is heavier than neighbor {u}")
+    # the non-adjacent neighbor pairs, each ascending, in ascending order
+    pairs = [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1:]
+             if y not in nbs[x]]
     if len(pairs) > cap:
         return Aborted("cap")
 
@@ -213,7 +193,10 @@ def _pair_struction(g, v, cap, log, modified):
     event = Struction("modified" if modified else "original", v, wv,
                       tuple(nbrs), ((v, wv),), tuple(created))
     log.record(event)
-    _cleanup_zero_neighbors(g, nbrs, log)
+    for u in nbrs:
+        if w.get(u) == 0:
+            log.record(ExcludedVertex(u))
+            g.remove_vertex(u)
     return event
 
 

@@ -22,6 +22,8 @@ import mwis
 from mwis import (TIME_LIMIT, lift, preprocess, solve, upper_bound,
                   verify_lift)
 
+from reference import disjoint_union
+
 # (seed, n) of sparse gnp graphs (average degree 5) whose kernels are
 # not empty under nonincreasing, so the search runs
 GRAPHS = ((1, 60), (2, 120), (5, 160))
@@ -42,21 +44,6 @@ def _relabel(g, perm, k=1):
         for u in g.neighbors(v):
             if v < u:
                 h.add_edge(perm[v], perm[u])
-    return h
-
-
-def _disjoint_union(graphs):
-    """One graph holding each of graphs (ids 0..n-1), with its ids shifted
-    past those of the graphs before it."""
-    weights, edges = [], []
-    for g in graphs:
-        shift = len(weights)
-        for v in g.active_vertices():
-            weights.append(g.weight(v))
-            edges += [(shift + v, shift + u) for u in g.neighbors(v) if v < u]
-    h = mwis.new_graph(len(weights), weights)
-    for a, b in edges:
-        h.add_edge(a, b)
     return h
 
 
@@ -122,7 +109,7 @@ def test_disjoint_union_sums_the_optima(mode):
     add up to the sum of the three graphs' optima."""
     parts = [mwis.random_gnp_graph(n, 5 / n, seed=seed) for seed, n in GRAPHS]
     best = sum(solve(g).weight for g in parts)
-    union = _disjoint_union(parts)
+    union = disjoint_union(parts)
     assert union.counts() == tuple(map(sum, zip(*(g.counts() for g in parts))))
     kernel = preprocess(union.copy(), mode).kernel
     assert len(mwis.components(kernel)) >= 2

@@ -7,7 +7,8 @@ import mwis
 from mwis import (RULE_ORDER, Aborted, BlowupConfig, DynGraph, TransformLog,
                   clique_neighborhood_removal, cyclic_blow_up,
                   degree_two_fold, domination, lift, twin_merge, verify_lift)
-from mwis.reductions import _SIMPLE_RULES, _must_exceed_cap
+from mwis import reductions
+from mwis.reductions import _SIMPLE_RULES, _reduce_into
 from mwis.struction import count_small_exceeding_sets
 from mwis.translog import DegreeTwoFold, ExcludedVertex, IncludedVertex, TwinMerge
 
@@ -241,30 +242,38 @@ def test_decreasing_struction_rejects_growth(c4a):
 
 
 def test_struction_cap_precheck_skips_only_certain_aborts():
-    # wherever the count of exceeding sets of size <= 2 passes the cap of a
-    # decreasing (deg) or plateau (deg + 1) struction, the full extended
-    # struction must abort; the stopped count agrees with the full one
-    # up to the cap
-    extended = BlowupConfig(variant="extended")
-    reduced = BlowupConfig(variant="extended_reduced")
-    skipped = kept = 0
+    # wherever the count of exceeding sets of size <= 2 passes the cap,
+    # both extended builders abort, as each such set gets a created vertex
+    # of its own; the stopped count agrees with the full one up to the cap.
+    # Caps 0 and 1 also stop the count right after its single neighbors
+    skipped = kept = early = 0
     for seed in range(60):
         rnd = random.Random(seed)
         g = random_graph(rnd, rnd.randint(4, 16),
                          rnd.choice([0.15, 0.3, 0.5]), wmax=30)
         for v in g.active_vertices():
             full = count_small_exceeding_sets(g, v)
-            for cap in (g.degree(v), g.degree(v) + 1):
+            heavier = sum(g.weight(u) > g.weight(v) for u in g.neighbors(v))
+            out = mwis.extended_reduced_struction(g.copy(), v, 10**6,
+                                                  TransformLog())
+            if not isinstance(out, Aborted):
+                assert len(out.created) >= full, (seed, v)
+            for cap in (0, 1, g.degree(v), g.degree(v) + 1):
                 stopped = count_small_exceeding_sets(g, v, cap)
                 assert stopped == full if full <= cap else stopped > cap
-                assert not _must_exceed_cap(g, v, reduced, cap)
-                if not _must_exceed_cap(g, v, extended, cap):
+                if heavier > cap:
+                    assert stopped == heavier
+                    early += 1
+                if stopped <= cap:
                     kept += 1
                     continue
                 skipped += 1
-                out = mwis.extended_struction(g.copy(), v, cap, TransformLog())
-                assert isinstance(out, Aborted), (seed, v, cap)
-    assert skipped >= 100 and kept >= 100, (skipped, kept)
+                for build in (mwis.extended_struction,
+                              mwis.extended_reduced_struction):
+                    out = build(g.copy(), v, cap, TransformLog())
+                    assert isinstance(out, Aborted), (seed, v, cap, build)
+    assert skipped >= 100 and kept >= 100 and early >= 100, (
+        skipped, kept, early)
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -336,6 +345,22 @@ def test_plateau_disabled_never_fires():
         rules = tuple(r for r in RULE_ORDER if r != "plateau_struction")
         res = cyclic_blow_up(g, BlowupConfig(X=0, rules=rules))
         assert "plateau_struction" not in res.stats
+
+
+def test_plateau_budget_ends_a_chain_of_firings(monkeypatch):
+    # a stub that rewrites v's weight unchanged puts v on the change record,
+    # so every firing queues v again; only the 4|V| budget stops it
+    def requeue(g, v, cfg, log):
+        g.set_weight(v, g._w[v])
+        return True
+
+    monkeypatch.setattr(reductions, "plateau_struction", requeue)
+    g = random_graph(random.Random(5), 9, 0.3, wmax=9)
+    n = len(g._w)
+    stats = {}
+    _reduce_into(g, BlowupConfig(rules=("plateau_struction",)),
+                 TransformLog(), stats)
+    assert stats["plateau_struction"] == 4 * n
 
 
 def test_reduce_is_idempotent():

@@ -1,12 +1,14 @@
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwis
 from mwis import CorruptLog, NotIndependent, TransformLog, lift, verify_lift
-from mwis.translog import (DegreeTwoFold, ExcludedVertex, IncludedVertex,
-                           Pair, Struction, TwinMerge, VertexSet,
-                           VertexSetPlus, first_violation, from_bytes,
-                           to_bytes)
+from mwis.translog import (VARIANTS, DegreeTwoFold, ExcludedVertex,
+                           IncludedVertex, Pair, Struction, TwinMerge,
+                           VertexSet, VertexSetPlus, first_violation,
+                           from_bytes, to_bytes)
 
 
 def test_offset_accumulates_per_event():
@@ -130,6 +132,31 @@ def test_lift_extended_reduced_rejects_cross_set_extension():
         lift(log, {7, 8})
 
 
+def test_lift_refuses_an_unknown_event():
+    log = TransformLog()
+    log.record(object())
+    with pytest.raises(CorruptLog, match="unknown event"):
+        lift(log, set())
+
+
+def test_lift_refuses_an_unknown_struction_variant():
+    log = TransformLog()
+    log.record(Struction("sideways", 0, 1, (1,), ((0, 1),), ()))
+    with pytest.raises(CorruptLog, match="unknown struction variant"):
+        lift(log, set())
+
+
+def test_lift_modified_rejects_a_pair_vertex_next_to_another_neighbor():
+    # v_{1,2} of modified is adjacent to neighbor 3, but not to its base 1
+    ev = Struction("modified", 0, 1, (1, 2, 3), ((0, 1),),
+                   ((5, 2, Pair(1, 2)),))
+    log = TransformLog()
+    log.record(ev)
+    assert lift(log, {5, 1}) == {1, 2}
+    with pytest.raises(NotIndependent, match="pair vertex picked next to"):
+        lift(log, {5, 3})
+
+
 def test_lift_order_is_last_to_first():
     """A later fold can hand a vertex to an earlier merge."""
     log = TransformLog()
@@ -210,6 +237,22 @@ def test_from_bytes_rejects_garbage():
         from_bytes(blob[:-3])                      # truncated
     with pytest.raises(CorruptLog):
         from_bytes(blob + b"\x00")                 # trailing bytes
+
+
+# the header is magic (4 bytes), version (u16) and event count (u64); the
+# record is tag (u8), payload length (u32), then variant code (u8) first
+@pytest.mark.parametrize("at, fmt, value, message", [
+    (4, "<H", 2, "unsupported log version 2"),
+    (14, "<B", 9, "unknown event tag 9"),
+    (15, "<I", 0, "record length mismatch"),
+    (19, "<B", len(VARIANTS), f"unknown variant code {len(VARIANTS)}")])
+def test_from_bytes_refuses_a_corrupt_field(at, fmt, value, message):
+    log = TransformLog()
+    log.record(Struction("original", 7, 2, (8, 9), ((7, 2),), ()))
+    blob = bytearray(to_bytes(log))
+    struct.pack_into(fmt, blob, at, value)
+    with pytest.raises(CorruptLog, match=message):
+        from_bytes(bytes(blob))
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 100)), max_size=30))
