@@ -32,7 +32,8 @@ reduced.  The second test is skipped when it would repeat the first.
 A node without an incumbent meets the deadline only once its local search
 has seeded one, so every timeout leaves one for solve to return (the root's
 Reduce is a no-op on the kernel); a component's root reached after the
-deadline still runs its Reduce and local search.
+deadline still runs its Reduce and local search.  A split node cut short
+still offers c plus the incumbents of its components, finished or not.
 
 A node only asks whether its bound reaches the incumbent, so UpperBound
 stops once the answer is yes; every prune decision is the one the full
@@ -433,13 +434,16 @@ def _search(G, log, sh, inc, seed_ls, depth):
         return
     comps = components(G)
     if len(comps) > 1:
-        total = c
-        members = set()
-        for comp in comps:
-            w_i, sol_i = _solve_subgraph(comp, sh)
-            total += w_i
-            members |= sol_i
-        inc.offer(total, log, members)
+        parts, cut = [], None
+        try:
+            for comp in comps:
+                _solve_subgraph(comp, sh, parts)
+        except _Timeout as exc:
+            cut = exc
+        inc.offer(c + sum(p.W for p in parts), log,
+                  set().union(*(p.solution for p in parts)))
+        if cut is not None:
+            raise cut
         return
     sh.stats["branches"] += 1
     v = _branch_vertex(G)
@@ -458,13 +462,14 @@ def _search(G, log, sh, inc, seed_ls, depth):
     log.truncate(mark)
 
 
-def _solve_subgraph(comp, sh):
+def _solve_subgraph(comp, sh, parts):
     """Solve one connected component to optimality as its own search
-    (fresh log, weight bound reset to zero)."""
-    log = TransformLog()
+    (fresh log, weight bound reset to zero), appending its incumbent to
+    parts first: the search seeds it before any deadline check, so a
+    timeout still leaves the component's best solution there."""
     inc = _Incumbent()
-    _search(comp, log, sh, inc, True, 0)
-    return inc.W, inc.solution
+    parts.append(inc)
+    _search(comp, TransformLog(), sh, inc, True, 0)
 
 
 def solve(g, mode=PRESET_NONINCREASING, time_limit=None):

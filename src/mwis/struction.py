@@ -44,15 +44,18 @@ class NeighborhoodSet:
     weight: int
 
 
-def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
-                             node_budget=None):
+_MIN_NODE_BUDGET = 8192
+
+
+def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False):
     """Independent subsets c of S with w(c) > threshold, DFS in ascending id order.
 
     With minimal_only, only sets all of whose proper subsets stay at or below
     the threshold are emitted (closed form: w(c) - min member weight must not
     exceed the threshold), and the search never descends below an emitted set.
     Aborts as soon as more than `cap` sets have been emitted, or when the
-    number of visited search nodes passes the node budget.
+    number of visited search nodes passes the node budget: 16 per set the
+    cap allows, and at least _MIN_NODE_BUDGET.
 
     The DFS runs on an explicit stack, so deep neighborhoods cannot hit the
     recursion limit.  A frame keeps the candidates still open to it as a
@@ -74,8 +77,7 @@ def enumerate_exceeding_sets(g, S, threshold, cap, minimal_only=False,
     bit = {u: 1 << i for i, u in enumerate(items)}
     item_set = set(items)
     conflicts = [None] * n
-    if node_budget is None:
-        node_budget = max(8192, 16 * (cap + 1))
+    node_budget = max(_MIN_NODE_BUDGET, 16 * (cap + 1))
     out = []
     nodes = 0
     path = []       # members of the current frame, ascending
@@ -178,8 +180,8 @@ def _pair_struction(g, v, cap, log, modified):
     for i, ((x, y), targets) in enumerate(zip(pairs, plans)):
         targets += [created[j][0] for j in range(i)
                     if pairs[j][0] != x or pairs[j][1] in nbs[y]]
-        w_new = w[y] if modified else wv
-        created.append((g.add_vertex(w_new, targets), w_new, Pair(x, y)))
+        created.append((g.add_vertex(w[y] if modified else wv, targets),
+                        Pair(x, y)))
 
     g.remove_vertex(v)
     for u in nbrs:
@@ -191,7 +193,7 @@ def _pair_struction(g, v, cap, log, modified):
             g.add_edge(x, y)
 
     event = Struction("modified" if modified else "original", v, wv,
-                      tuple(nbrs), ((v, wv),), tuple(created))
+                      tuple(nbrs), tuple(created))
     log.record(event)
     for u in nbrs:
         if w.get(u) == 0:
@@ -233,29 +235,27 @@ def _extended_struction(g, v, cap, log, reduced):
     # conflicts with everything built from a different set, and with
     # same-set extensions whose added members are adjacent
     closed = {v, *nbrs}
-    removed = ((v, wv),) + tuple((u, w[u]) for u in nbrs)
     created = []
     core_ids = []
     for ns in core_sets:
         outside = set().union(*(nbs[u] for u in ns.members))
         nid = g.add_vertex(ns.weight - wv, sorted(outside - closed) + core_ids)
         core_ids.append(nid)
-        created.append((nid, ns.weight - wv, VertexSet(ns.members)))
+        created.append((nid, VertexSet(ns.members)))
     for ci, y in extensions:
         c = core_sets[ci].members
         outside = set(nbs[y]).union(*(nbs[u] for u in c))
         targets = (sorted(outside - closed)
                    + [cid for j, cid in enumerate(core_ids) if j != ci]
-                   + [cid for cid, _w, p in created[len(core_ids):]
+                   + [cid for cid, p in created[len(core_ids):]
                       if p.c != c or p.y in nbs[y]])
-        created.append((g.add_vertex(w[y], targets), w[y],
-                        VertexSetPlus(c, y)))
+        created.append((g.add_vertex(w[y], targets), VertexSetPlus(c, y)))
 
     g.remove_vertex(v)
     for u in nbrs:
         g.remove_vertex(u)
     event = Struction("extended_reduced" if reduced else "extended", v, wv,
-                      tuple(nbrs), removed, tuple(created))
+                      tuple(nbrs), tuple(created))
     log.record(event)
     return event
 

@@ -7,9 +7,9 @@ applies each event's inverse rule, turning an independent set of the final
 the kernel weight plus the accumulated offset.
 
 Struction events snapshot what the inverse rule needs (the center, its
-neighbor ids and each created vertex's provenance), because by lift time the
-graph that produced them is gone.  The removed vertices with their weights
-are kept for the wire format only; lift does not read them.
+neighbor ids and each created vertex's id and provenance), because by lift
+time the graph that produced them is gone; the center's weight is the
+offset the event adds.
 """
 
 import struct
@@ -94,8 +94,7 @@ class Struction:
     center: int
     center_weight: int
     neighbors: tuple        # N(center) right before the transformation
-    removed: tuple          # ((id, weight at removal), ...)
-    created: tuple          # ((id, weight, provenance), ...)
+    created: tuple          # ((id, provenance), ...)
 
 
 VARIANTS = ("original", "modified", "extended", "extended_reduced")
@@ -173,7 +172,7 @@ def _undo_struction(e, cur):
     union of the picks' members."""
     if e.variant not in VARIANTS:
         raise CorruptLog(f"unknown struction variant {e.variant!r}")
-    picks = [prov for cid, _w, prov in e.created if cid in cur]
+    picks = [prov for cid, prov in e.created if cid in cur]
     if not picks:
         if cur.isdisjoint(e.neighbors):
             cur.add(e.center)
@@ -186,7 +185,7 @@ def _undo_struction(e, cur):
     if e.variant == "modified" and any(k in cur and k != base
                                        for k in e.neighbors):
         raise NotIndependent("pair vertex picked next to its neighbor")
-    cur.difference_update(cid for cid, _w, _p in e.created)
+    cur.difference_update(cid for cid, _p in e.created)
     for p in picks:
         cur.update(p.members)
     return cur
@@ -225,7 +224,7 @@ def verify_lift(original, lifted, expected_weight):
 # All integers little-endian; ids and weights are u64.
 
 _MAGIC = b"TLOG"
-_VERSION = 1
+_VERSION = 2
 # fixed-size events: tag and the struct format of their fields, in order
 _CODEC = {IncludedVertex: (1, "<QQ"), ExcludedVertex: (2, "<Q"),
           TwinMerge: (3, "<QQ"), DegreeTwoFold: (4, "<QQQQQ")}
@@ -247,12 +246,9 @@ def _pack_event(e):
         return tag, struct.pack(fmt, *vars(e).values())
     out = [struct.pack("<BQQ", VARIANTS.index(e.variant), e.center, e.center_weight)]
     out.append(_pack_ids(e.neighbors))
-    out.append(struct.pack("<I", len(e.removed)))
-    for vid, w in e.removed:
-        out.append(struct.pack("<QQ", vid, w))
     out.append(struct.pack("<I", len(e.created)))
-    for cid, w, prov in e.created:
-        out.append(struct.pack("<QQB", cid, w, _PTAGS[type(prov)]))
+    for cid, prov in e.created:
+        out.append(struct.pack("<QB", cid, _PTAGS[type(prov)]))
         if isinstance(prov, Pair):
             out.append(struct.pack("<QQ", prov.x, prov.y))
         elif isinstance(prov, VertexSet):
@@ -299,12 +295,10 @@ def _unpack_event(tag, rd):
     if vi >= len(VARIANTS):
         raise CorruptLog(f"unknown variant code {vi}")
     neighbors = rd.take_ids()
-    (nrem,) = rd.take("<I")
-    removed = tuple(rd.take("<QQ") for _ in range(nrem))
     (ncre,) = rd.take("<I")
     created = []
     for _ in range(ncre):
-        cid, w, ptag = rd.take("<QQB")
+        cid, ptag = rd.take("<QB")
         if ptag not in _VARIANT_PTAGS[vi]:
             raise CorruptLog(f"{VARIANTS[vi]} struction with provenance "
                              f"tag {ptag}")
@@ -314,8 +308,8 @@ def _unpack_event(tag, rd):
             prov = VertexSet(rd.take_ids())
         else:
             prov = VertexSetPlus(rd.take_ids(), rd.take("<Q")[0])
-        created.append((cid, w, prov))
-    return Struction(VARIANTS[vi], center, cw, neighbors, removed, tuple(created))
+        created.append((cid, prov))
+    return Struction(VARIANTS[vi], center, cw, neighbors, tuple(created))
 
 
 def from_bytes(data):

@@ -180,6 +180,11 @@ def test_solution_round_trip(tmp_path):
     assert read_solution(path) == (4, {0, 2})
 
 
+def test_read_solution_skips_a_blank_line(tmp_path):
+    path = _write(tmp_path, "%weight 4\n1\n\n3\n", "blank.sol")
+    assert read_solution(path) == (4, {0, 2})
+
+
 def test_read_solution_requires_weight_header(tmp_path):
     p = tmp_path / "bad.sol"
     p.write_text("1\n3\n")

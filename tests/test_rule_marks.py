@@ -509,7 +509,8 @@ def test_search_from_the_record_matches_re_testing_every_vertex(monkeypatch,
     searched = []
     real = mwis.solver._solve_subgraph
     monkeypatch.setattr(mwis.solver, "_solve_subgraph",
-                        lambda c, sh: searched.append(c) or real(c, sh))
+                        lambda c, sh, parts: searched.append(c)
+                        or real(c, sh, parts))
 
     def every_vertex(g, cfg, log, stats, seeds=None):
         _reduce_into(g, cfg, log, stats, None)

@@ -58,9 +58,10 @@ def test_extended_struction_follows_ascending_neighbor_order():
     log = TransformLog()
     event = extended_struction(g, 0, 10, log)
     assert event == Struction(
-        "extended", 0, 1, (1, 8), ((0, 1), (1, 2), (8, 2)),
-        ((10, 1, VertexSet((1,))), (11, 3, VertexSet((1, 8))),
-         (12, 1, VertexSet((8,)))))
+        "extended", 0, 1, (1, 8),
+        ((10, VertexSet((1,))), (11, VertexSet((1, 8))),
+         (12, VertexSet((8,)))))
+    assert [g.weight(cid) for cid in (10, 11, 12)] == [1, 3, 1]
     assert g.neighbors(10) == [5, 11, 12]
     assert g.neighbors(12) == [4, 10, 11]
 
@@ -69,17 +70,15 @@ def test_extended_reduced_struction_follows_ascending_neighbor_order():
     g = _center_with_neighbors_1_and_8()
     event = extended_reduced_struction(g, 0, 10, TransformLog())
     assert event.neighbors == (1, 8)
-    assert [u for u, _w in event.removed] == [0, 1, 8]
-    assert [(nid, prov) for nid, _w, prov in event.created][:2] == [
-        (10, VertexSet((1,))), (11, VertexSet((8,)))]
+    assert event.created[:2] == ((10, VertexSet((1,))), (11, VertexSet((8,))))
 
 
 def test_original_struction_follows_ascending_neighbor_order():
     g = _center_with_neighbors_1_and_8()
     event = original_struction(g, 0, 10, TransformLog())
     assert event.neighbors == (1, 8)
-    assert event.created == ((10, 1, Pair(1, 8)),)
-    assert g.neighbors(10) == [4, 5]
+    assert event.created == ((10, Pair(1, 8)),)
+    assert g.neighbors(10) == [4, 5] and g.weight(10) == 1
     assert g.weight(1) == g.weight(8) == 1
 
 
@@ -87,6 +86,6 @@ def test_modified_struction_follows_ascending_neighbor_order():
     g = _center_with_neighbors_1_and_8()
     event = modified_struction(g, 0, 10, TransformLog())
     assert event.neighbors == (1, 8)
-    assert event.created == ((10, 2, Pair(1, 8)),)
-    assert g.neighbors(10) == [4, 5, 8]
+    assert event.created == ((10, Pair(1, 8)),)
+    assert g.neighbors(10) == [4, 5, 8] and g.weight(10) == 2
     assert g.neighbors(1) == [5, 8]

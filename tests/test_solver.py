@@ -304,7 +304,8 @@ def test_solve_over_components_with_zero_weight_parts(monkeypatch):
     searched = []
     real = solver._solve_subgraph
     monkeypatch.setattr(solver, "_solve_subgraph",
-                        lambda c, sh: searched.append(c) or real(c, sh))
+                        lambda c, sh, parts: searched.append(c)
+                        or real(c, sh, parts))
     for i in range(0, 8, 2):
         zero = random_graph(rnd, 3, 0.7)
         for v in zero.active_vertices():
@@ -317,7 +318,9 @@ def test_solve_over_components_with_zero_weight_parts(monkeypatch):
 
     # a component that weighs nothing is still solved, not pruned unsolved
     sh = solver._Shared(None, BlowupConfig(), {"branches": 0, "max_depth": 0})
-    assert real(zero, sh) == (0, set())
+    parts = []
+    real(zero, sh, parts)
+    assert [(p.W, p.solution) for p in parts] == [(0, set())]
 
 
 @pytest.mark.parametrize("mode", ("nonincreasing", "cyclic-fast"))
@@ -459,6 +462,21 @@ def test_an_empty_kernel_is_optimal_under_an_expired_deadline(p3a,
     res = solve(p3a, time_limit=0)
     assert res.status == OPTIMAL and res.weight == 4
     assert res.stats["kernel_n"] == 0
+
+
+def test_a_timeout_in_a_split_keeps_the_finished_components(monkeypatch):
+    # a clock that ticks 1 s per read runs out inside the second of two
+    # components: the first one's optimum and the second one's incumbent
+    # together outweigh the root's own incumbent (7666)
+    ticking = SimpleNamespace(monotonic=itertools.count(1000).__next__)
+    monkeypatch.setattr(solver, "time", ticking)
+    monkeypatch.setattr(mwis.blowup, "time", ticking)
+    g = disjoint_union([mwis.random_gnp_graph(100, 0.1, 11),
+                        mwis.random_gnp_graph(100, 0.1, 12)])
+    res = solve(g, "nonincreasing", 400)
+    assert res.status == TIME_LIMIT
+    assert res.weight == 7732
+    assert verify_lift(g, res.solution, res.weight)
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1, -1e-9, float("-inf"),

@@ -7,6 +7,7 @@ import mwis
 from mwis import (Aborted, NotMinimal, TransformLog, enumerate_exceeding_sets,
                   extended_reduced_struction, extended_struction, lift,
                   modified_struction, original_struction, verify_lift)
+from mwis import struction
 from mwis.struction import NeighborhoodSet
 from mwis.translog import Pair, VertexSet, VertexSetPlus
 
@@ -33,7 +34,7 @@ def test_original_struction_on_cycle(c4a):
     # neighbors 1 and 3 lowered by 1, pair vertex 4 carries the center weight
     assert weights_of(c4a) == {1: 1, 2: 3, 3: 1, 4: 1}
     assert edges_of(c4a) == {(1, 2), (2, 3), (2, 4)}
-    assert out.created == ((4, 1, Pair(1, 3)),)
+    assert out.created == ((4, Pair(1, 3)),)
     assert mwis_oracle(c4a)[0] == 3
 
 
@@ -57,7 +58,7 @@ def test_extended_struction_on_cycle(c4a):
     out = extended_struction(c4a, 0, cap=10, log=log)
     assert not isinstance(out, Aborted)
     # N[0] gone; one vertex per exceeding independent set {1}, {1,3}, {3}
-    provs = {prov.c: w for _, w, prov in out.created}
+    provs = {prov.c: c4a.weight(cid) for cid, prov in out.created}
     assert provs == {(1,): 1, (1, 3): 3, (3,): 1}
     assert weights_of(c4a) == {2: 3, 4: 1, 5: 3, 6: 1}
     assert edges_of(c4a) == {(2, 4), (2, 5), (2, 6), (4, 5), (4, 6), (5, 6)}
@@ -69,9 +70,9 @@ def test_extended_reduced_struction_on_cycle(c4a):
     out = extended_reduced_struction(c4a, 0, cap=10, log=log)
     assert not isinstance(out, Aborted)
     # minimal sets {1}, {3}; extensions add the respective other neighbor
-    core = {prov.c: w for _, w, prov in out.created
+    core = {prov.c: c4a.weight(cid) for cid, prov in out.created
             if isinstance(prov, VertexSet)}
-    ext = {(prov.c, prov.y): w for _, w, prov in out.created
+    ext = {(prov.c, prov.y): c4a.weight(cid) for cid, prov in out.created
            if isinstance(prov, VertexSetPlus)}
     assert core == {(1,): 1, (3,): 1}
     assert ext == {((1,), 3): 2, ((3,), 1): 2}
@@ -199,10 +200,11 @@ def test_enumerate_respects_adjacency(k3u):
     assert sets == [NeighborhoodSet((0,), 4), NeighborhoodSet((1,), 2)]
 
 
-def test_enumerate_matches_recursive_reference():
+def test_enumerate_matches_recursive_reference(monkeypatch):
     # same sets in the same order, or an abort for the same reason, as the
     # recursive DFS it replaced, over caps and node budgets on both sides
-    # of every abort
+    # of every abort; lowering the budget's floor brings budget aborts
+    # into these small neighborhoods
     outcomes = {"empty": 0, "sets": 0, "cap": 0, "budget": 0}
     for case in range(1200):
         rnd = random.Random(case)
@@ -212,11 +214,11 @@ def test_enumerate_matches_recursive_reference():
         threshold = rnd.randint(0, sum(g.weight(u) for u in S) + 1)
         cap = rnd.choice([0, 1, 3, 10, 40, 200, 5000])
         minimal_only = rnd.random() < 0.5
-        budget = rnd.choice([None, 5, 50, 500])
-        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only,
-                                       budget)
+        floor = rnd.choice([8192, 5, 50, 500])
+        monkeypatch.setattr(struction, "_MIN_NODE_BUDGET", floor)
+        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only)
         want = exceeding_sets_recursive(g, S, threshold, cap, minimal_only,
-                                        budget)
+                                        max(floor, 16 * (cap + 1)))
         if isinstance(got, Aborted):
             assert got.reason == want, case
             outcomes[want] += 1
@@ -226,7 +228,7 @@ def test_enumerate_matches_recursive_reference():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_enumerate_matches_eager_mask_reference():
+def test_enumerate_matches_eager_mask_reference(monkeypatch):
     # building each conflict mask on first descent changes nothing: the
     # same sets in the same order, or an abort for the same reason, as the
     # search with every mask built up front, in random neighborhoods
@@ -243,11 +245,11 @@ def test_enumerate_matches_eager_mask_reference():
         threshold = rnd.randint(0, sum(g.weight(u) for u in S) + 1)
         cap = rnd.choice([0, 1, 2, 5, 20, 100, 5000])
         minimal_only = rnd.random() < 0.5
-        budget = rnd.choice([None, 3, 30, 300, 3000])
-        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only,
-                                       budget)
+        floor = rnd.choice([8192, 3, 30, 300, 3000])
+        monkeypatch.setattr(struction, "_MIN_NODE_BUDGET", floor)
+        got = enumerate_exceeding_sets(g, S, threshold, cap, minimal_only)
         want = exceeding_sets_eager(g, S, threshold, cap, minimal_only,
-                                    budget)
+                                    max(floor, 16 * (cap + 1)))
         if isinstance(got, Aborted):
             assert got.reason == want, case
             kind = want

@@ -21,7 +21,7 @@ def test_offset_accumulates_per_event():
     assert log.offset == 5
     log.record(DegreeTwoFold(4, 5, 6, 7, 3))
     assert log.offset == 8
-    log.record(Struction("extended", 8, 2, (9,), ((9, 1),), ()))
+    log.record(Struction("extended", 8, 2, (9,), ()))
     assert log.offset == 10
     assert len(log) == 5
 
@@ -70,7 +70,7 @@ def test_lift_degree_two_fold_both_cases():
 
 def test_lift_original_struction_pair_chosen():
     # center 0 over neighbors (1, 2), created 5 = v_{1,2}
-    ev = Struction("original", 0, 2, (1, 2), (), ((5, 2, Pair(1, 2)),))
+    ev = Struction("original", 0, 2, (1, 2), ((5, Pair(1, 2)),))
     log = TransformLog()
     log.record(ev)
     assert lift(log, {5}) == {1, 2}
@@ -81,8 +81,8 @@ def test_lift_original_struction_pair_chosen():
 
 
 def test_lift_original_struction_rejects_cross_layer_pairs():
-    ev = Struction("original", 0, 1, (1, 2, 3), (),
-                   ((5, 1, Pair(1, 2)), (6, 1, Pair(2, 3))))
+    ev = Struction("original", 0, 1, (1, 2, 3),
+                   ((5, Pair(1, 2)), (6, Pair(2, 3))))
     log = TransformLog()
     log.record(ev)
     with pytest.raises(NotIndependent):
@@ -90,8 +90,7 @@ def test_lift_original_struction_rejects_cross_layer_pairs():
 
 
 def test_lift_extended_struction():
-    ev = Struction("extended", 0, 3, (1, 2), ((1, 4), (2, 2)),
-                   ((5, 3, VertexSet((1, 2))),))
+    ev = Struction("extended", 0, 3, (1, 2), ((5, VertexSet((1, 2))),))
     log = TransformLog()
     log.record(ev)
     assert lift(log, {5}) == {1, 2}
@@ -99,8 +98,8 @@ def test_lift_extended_struction():
 
 
 def test_lift_extended_rejects_two_encoding_vertices():
-    ev = Struction("extended", 0, 1, (1, 2), ((1, 4), (2, 2)),
-                   ((5, 3, VertexSet((1,))), (6, 1, VertexSet((2,)))))
+    ev = Struction("extended", 0, 1, (1, 2),
+                   ((5, VertexSet((1,))), (6, VertexSet((2,)))))
     log = TransformLog()
     log.record(ev)
     # encoding vertices form a clique: their bases differ
@@ -109,10 +108,9 @@ def test_lift_extended_rejects_two_encoding_vertices():
 
 
 def test_lift_extended_reduced_extension_vertices():
-    core = (7, 2, VertexSet((1, 2)))
-    ext = (8, 5, VertexSetPlus((1, 2), 3))
-    ev = Struction("extended_reduced", 0, 3, (1, 2, 3),
-                   ((1, 4), (2, 2), (3, 5)), (core, ext))
+    core = (7, VertexSet((1, 2)))
+    ext = (8, VertexSetPlus((1, 2), 3))
+    ev = Struction("extended_reduced", 0, 3, (1, 2, 3), (core, ext))
     log = TransformLog()
     log.record(ev)
     assert lift(log, {7}) == {1, 2}
@@ -122,10 +120,9 @@ def test_lift_extended_reduced_extension_vertices():
 
 
 def test_lift_extended_reduced_rejects_cross_set_extension():
-    core = (7, 2, VertexSet((1,)))
-    ext = (8, 5, VertexSetPlus((2,), 3))
-    ev = Struction("extended_reduced", 0, 3, (1, 2, 3),
-                   ((1, 4), (2, 2), (3, 5)), (core, ext))
+    core = (7, VertexSet((1,)))
+    ext = (8, VertexSetPlus((2,), 3))
+    ev = Struction("extended_reduced", 0, 3, (1, 2, 3), (core, ext))
     log = TransformLog()
     log.record(ev)
     with pytest.raises(NotIndependent):
@@ -141,15 +138,14 @@ def test_lift_refuses_an_unknown_event():
 
 def test_lift_refuses_an_unknown_struction_variant():
     log = TransformLog()
-    log.record(Struction("sideways", 0, 1, (1,), ((0, 1),), ()))
+    log.record(Struction("sideways", 0, 1, (1,), ()))
     with pytest.raises(CorruptLog, match="unknown struction variant"):
         lift(log, set())
 
 
 def test_lift_modified_rejects_a_pair_vertex_next_to_another_neighbor():
     # v_{1,2} of modified is adjacent to neighbor 3, but not to its base 1
-    ev = Struction("modified", 0, 1, (1, 2, 3), ((0, 1),),
-                   ((5, 2, Pair(1, 2)),))
+    ev = Struction("modified", 0, 1, (1, 2, 3), ((5, Pair(1, 2)),))
     log = TransformLog()
     log.record(ev)
     assert lift(log, {5, 1}) == {1, 2}
@@ -190,13 +186,14 @@ def _sample_log():
     log.record(ExcludedVertex(1))
     log.record(TwinMerge(2, 3))
     log.record(DegreeTwoFold(4, 5, 6, 17, 3))
-    log.record(Struction("original", 7, 2, (8, 9), ((10, 1),),
-                         ((18, 2, Pair(8, 9)),)))
-    log.record(Struction("extended", 11, 4, (12, 13), ((12, 9), (13, 1)),
-                         ((19, 5, VertexSet((12, 13))),)))
-    log.record(Struction("extended_reduced", 14, 3, (15, 16), ((15, 7),),
-                         ((20, 4, VertexSet((15,))),
-                          (21, 6, VertexSetPlus((15,), 16)))))
+    log.record(Struction("original", 7, 2, (8, 9), ((18, Pair(8, 9)),)))
+    log.record(Struction("modified", 22, 1, (23, 24, 25),
+                         ((26, Pair(23, 24)), (27, Pair(23, 25)))))
+    log.record(Struction("extended", 11, 4, (12, 13),
+                         ((19, VertexSet((12, 13))),)))
+    log.record(Struction("extended_reduced", 14, 3, (15, 16),
+                         ((20, VertexSet((15,))),
+                          (21, VertexSetPlus((15,), 16)))))
     return log
 
 
@@ -205,6 +202,18 @@ def test_roundtrip_preserves_events_and_offset():
     back = from_bytes(to_bytes(log))
     assert back.events == log.events
     assert back.offset == log.offset
+
+
+def test_struction_record_layout():
+    # version 2: a created vertex is its id and provenance tag, then the
+    # provenance; no weights beyond the center's
+    log = TransformLog()
+    log.record(Struction("modified", 7, 2, (8, 9), ((18, Pair(8, 9)),)))
+    payload = (struct.pack("<BQQ", 1, 7, 2) + struct.pack("<I2Q", 2, 8, 9)
+               + struct.pack("<I", 1) + struct.pack("<QB", 18, 1)
+               + struct.pack("<QQ", 8, 9))
+    assert to_bytes(log) == (b"TLOG" + struct.pack("<HQ", 2, 1)
+                             + struct.pack("<BI", 5, len(payload)) + payload)
 
 
 def test_roundtrip_empty_log():
@@ -223,7 +232,7 @@ def test_serialization_is_deterministic():
 def test_from_bytes_rejects_a_provenance_foreign_to_its_variant(variant,
                                                                  prov):
     log = TransformLog()
-    log.record(Struction(variant, 0, 1, (1, 2), ((0, 1),), ((5, 3, prov),)))
+    log.record(Struction(variant, 0, 1, (1, 2), ((5, prov),)))
     with pytest.raises(CorruptLog, match=f"{variant} struction with "
                                          "provenance tag"):
         from_bytes(to_bytes(log))
@@ -240,15 +249,17 @@ def test_from_bytes_rejects_garbage():
 
 
 # the header is magic (4 bytes), version (u16) and event count (u64); the
-# record is tag (u8), payload length (u32), then variant code (u8) first
+# record is tag (u8), payload length (u32), then variant code (u8) first.
+# A version-1 log, whose struction events held the removed vertices and
+# the created vertices' weights, is refused by name
 @pytest.mark.parametrize("at, fmt, value, message", [
-    (4, "<H", 2, "unsupported log version 2"),
+    (4, "<H", 1, "unsupported log version 1"),
     (14, "<B", 9, "unknown event tag 9"),
     (15, "<I", 0, "record length mismatch"),
     (19, "<B", len(VARIANTS), f"unknown variant code {len(VARIANTS)}")])
 def test_from_bytes_refuses_a_corrupt_field(at, fmt, value, message):
     log = TransformLog()
-    log.record(Struction("original", 7, 2, (8, 9), ((7, 2),), ()))
+    log.record(Struction("original", 7, 2, (8, 9), ()))
     blob = bytearray(to_bytes(log))
     struct.pack_into(fmt, blob, at, value)
     with pytest.raises(CorruptLog, match=message):
